@@ -24,12 +24,11 @@
 //! gated plane in `Metrics` mode and each figure's drained counters and
 //! histogram summaries (count, mean, and — schema 4, from the HDR bucket
 //! upgrade — p50/p90/p95/p99; wall-clock ones included — this file
-//! is a perf record, not a byte-compared trace) land beside its wall-clock
-//! — (c) the
-//! strict-vs-warm **eval-collapse fixture** — one steady-state NPS run per
-//! positioning mode, same seed, reporting mean evals/round and the ratio
-//! the ≥2× warm-start claim is judged on — and (d) hot-kernel timings: the
-//! allocation-free Simplex kernel next to its retained allocating oracle
+//! is a perf record, not a byte-compared trace) land beside its wall-clock;
+//! its `simplex.converged` / `simplex.capped` counters say how many fits
+//! the stopping rule ended and how many ran into the iteration cap — and
+//! (c) hot-kernel timings: the allocation-free Simplex kernel next to its
+//! retained allocating oracle
 //! (`vcoord_space::simplex::oracle`), the batched SoA distance kernel next
 //! to its scalar reference, and the snapshot-based `EvalPlan::avg_error`,
 //! timed in-process on the shared `vcoord_bench` fixtures (deliberately
@@ -48,11 +47,10 @@ use std::time::{Duration, Instant};
 use vcoord::experiments::{registry, Scale};
 use vcoord::metrics::EvalPlan;
 use vcoord::netsim::SeedStream;
-use vcoord::nps::{evals, NpsConfig, NpsSim, PositioningMode};
+use vcoord::nps::evals;
 use vcoord::space::simplex::oracle::simplex_downhill_reference;
 use vcoord::space::{
-    dist_batch, dist_batch_scalar, simplex_downhill_scratch, Coord, ResumePolicy, SimplexScratch,
-    Space,
+    dist_batch, dist_batch_scalar, simplex_downhill_scratch, Coord, SimplexScratch, Space,
 };
 use vcoord::topo::{KingLike, KingLikeConfig};
 
@@ -287,42 +285,6 @@ fn main() {
         );
     }
 
-    // --- Eval-collapse fixture ------------------------------------------
-    // One steady-state NPS run per positioning mode, same seed and probe
-    // stream, measured after the join transient: the evals/round ratio is
-    // the evidence for the warm-start evaluation-count collapse. Runs
-    // before the figure sweep so its rounds never pollute the per-figure
-    // histogram deltas below.
-    let collapse_nodes = match args.scale_name {
-        "quick" => 200,
-        _ => 80,
-    };
-    let collapse = |mode: PositioningMode| -> f64 {
-        let seeds = SeedStream::new(args.seed);
-        let matrix = KingLike::new(KingLikeConfig::with_nodes(collapse_nodes))
-            .generate(&mut seeds.rng("topo"));
-        let config = NpsConfig {
-            landmarks: 12,
-            refs_per_node: 12,
-            space: Space::Euclidean(4),
-            positioning: mode,
-            ..NpsConfig::default()
-        };
-        let mut sim = NpsSim::new(matrix, config, &seeds);
-        sim.run_ms(1_200_000); // join transient
-        let warmed = sim.counters();
-        sim.run_ms(1_200_000);
-        let c = sim.counters();
-        (c.objective_evals - warmed.objective_evals) as f64
-            / (c.positionings - warmed.positionings).max(1) as f64
-    };
-    let collapse_strict = collapse(PositioningMode::Strict);
-    let collapse_warm = collapse(PositioningMode::Warm(ResumePolicy::default_warm()));
-    let collapse_ratio = collapse_strict / collapse_warm;
-    println!(
-        "nps_eval_collapse ({collapse_nodes} nodes)       strict {collapse_strict:.1} warm {collapse_warm:.1} evals/round ({collapse_ratio:.2}x)"
-    );
-
     // --- Figure wall-clocks ---------------------------------------------
     let ids: Vec<String> = if args.ids.is_empty() || args.ids.iter().any(|i| i == "all") {
         registry::figure_ids()
@@ -407,9 +369,6 @@ fn main() {
         ));
     }
     json.push_str("  },\n");
-    json.push_str(&format!(
-        "  \"nps_eval_collapse\": {{\"nodes\": {collapse_nodes}, \"strict_mean\": {collapse_strict:.3}, \"warm_mean\": {collapse_warm:.3}, \"ratio\": {collapse_ratio:.3}}},\n"
-    ));
     json.push_str("  \"evals_per_round\": {\n");
     for (i, (id, mean, median, p99, rounds)) in figure_evals.iter().enumerate() {
         json.push_str(&format!(

@@ -357,6 +357,38 @@ fn same_seed_same_csv_bytes() {
     );
 }
 
+#[test]
+fn profile_attributes_serial_eval_plan_time() {
+    // With one worker thread every `EvalPlan` sweep takes the serial path;
+    // its time must land in `eval_plan_s`, not in `harness_s`.
+    let dir = tempdir("profile-serial");
+    let out = figures()
+        .env("VCOORD_THREADS", "1")
+        .args([
+            "fig14",
+            "--smoke",
+            "--out",
+            dir.to_str().unwrap(),
+            "--profile",
+            dir.to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn figures binary");
+    assert!(out.status.success(), "{}", stderr(&out));
+    let profile = std::fs::read_to_string(dir.join("profile.jsonl")).unwrap();
+    let row = profile
+        .lines()
+        .find(|l| l.contains("\"fig\":\"fig14\""))
+        .unwrap_or_else(|| panic!("no fig14 profile row:\n{profile}"));
+    let field = |name: &str| -> f64 {
+        let key = format!("\"{name}\":");
+        let rest = &row[row.find(&key).unwrap_or_else(|| panic!("{name} in {row}")) + key.len()..];
+        rest[..rest.find([',', '}']).unwrap()].parse().unwrap()
+    };
+    assert!(field("eval_plan_s") > 0.0, "serial EvalPlan untimed: {row}");
+    assert!(field("simplex_s") > 0.0, "{row}");
+}
+
 /// A unique, test-scoped output directory under the target tmp dir.
 #[test]
 fn trace_out_is_deterministic_across_jobs_and_digestible() {

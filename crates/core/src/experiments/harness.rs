@@ -476,15 +476,6 @@ pub fn run_nps_chaos(
 ) -> NpsRun {
     let seeds = SeedStream::new(master_seed).derive_indexed("nps-rep", rep);
     let matrix = KingLike::new(KingLikeConfig::with_nodes(nodes)).generate(&mut seeds.rng("topo"));
-    let mut config = config;
-    // CI seam: `VCOORD_NPS_WARM=1` forces warm-started positioning so the
-    // quick-tier NPS figures can run as a non-golden, property-bounded
-    // lane (.github/workflows/ci.yml). Unset, nothing changes — the
-    // goldens are recorded with whatever mode the figure asked for.
-    if std::env::var_os("VCOORD_NPS_WARM").is_some_and(|v| v == "1") {
-        config.positioning =
-            vcoord_nps::PositioningMode::Warm(vcoord_space::ResumePolicy::default_warm());
-    }
     let layers = config.layers;
     let mut sim = NpsSim::new(matrix, config, &seeds);
     let threads = eval_threads(scale);

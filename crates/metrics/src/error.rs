@@ -302,6 +302,9 @@ impl EvalPlan {
         let mut out = vec![0.0; n];
         let workers = threads.max(1).min(n.max(1));
         if workers == 1 || n < Self::PARALLEL_THRESHOLD {
+            // The serial sweep is one chunk on the calling thread, timed
+            // under the same metric as a parallel worker's chunk.
+            let _sweep = vcoord_obs::span(vcoord_obs::metric_id!("evalplan.worker_ns"));
             let mut scratch = DistScratch::default();
             for (k, e) in out.iter_mut().enumerate() {
                 *e = self.node_error_snap(k, &snap, space, matrix, &mut scratch);

@@ -4,11 +4,11 @@
 //! evaluations it performed (both fits combined) into a global histogram.
 //! The bench harness snapshots the histogram around each figure run and
 //! reports the delta as `evals_per_round` — the before/after evidence for
-//! the warm-start evaluation-count collapse.
+//! any change to the Simplex fit's cost.
 //!
 //! Only ordinary repositioning rounds are recorded; the start-up landmark
-//! embedding is construction-time work, identical in every mode, and would
-//! dilute the per-round statistic.
+//! embedding is construction-time work and would dilute the per-round
+//! statistic.
 //!
 //! The storage is a `vcoord_obs` [`GlobalHist`] registered as
 //! `nps.position.evals` — the aggregate (always-on) observability plane —
@@ -92,12 +92,22 @@ mod tests {
     use super::*;
     use vcoord_obs::hdr;
 
-    // The histogram is process-global and other tests in this binary drive
-    // whole simulations through it, so every assertion here works on
-    // snapshot *deltas* over locally recorded rounds.
+    // The global histogram also receives the rounds of every simulation
+    // test running concurrently in this binary, so a delta over it can
+    // include rounds this test did not record. The exact-count tests below
+    // drive a histogram of their own through the same snapshot and delta
+    // code instead.
+    fn own_hist(name: &'static str) -> (impl Fn(usize), impl Fn() -> EvalSnapshot) {
+        let h = global_hist(name);
+        (
+            move |evals| h.record(evals),
+            move || EvalSnapshot(h.snapshot()),
+        )
+    }
 
     #[test]
     fn deltas_track_recorded_rounds() {
+        let (record_round, snapshot) = own_hist("nps.position.evals.test.deltas");
         let before = snapshot();
         record_round(10);
         record_round(30);
@@ -112,6 +122,7 @@ mod tests {
 
     #[test]
     fn huge_rounds_keep_relative_resolution() {
+        let (record_round, snapshot) = own_hist("nps.position.evals.test.huge");
         let before = snapshot();
         record_round(1_000_000);
         let d = snapshot().delta_since(&before);
@@ -124,6 +135,7 @@ mod tests {
 
     #[test]
     fn quantiles_split_mixed_rounds() {
+        let (record_round, snapshot) = own_hist("nps.position.evals.test.mixed");
         let before = snapshot();
         for _ in 0..9 {
             record_round(50);

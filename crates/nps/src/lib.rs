@@ -42,11 +42,11 @@ pub mod position;
 pub mod sim;
 
 pub use adversary::{AttackStrategy, Collusion, CoordView, Honest, Lie, Probe, Protocol, Scenario};
-pub use config::{NpsConfig, PositioningMode};
+pub use config::NpsConfig;
 pub use defense::{Defense, DefenseStrategy, Verdict};
 pub use evals::EvalSnapshot;
 pub use position::{
-    position_node, position_node_scratch, position_node_seeded, position_node_with, FitObjective,
-    PositionOutcome, PositionScratch, RefSample, SecurityPolicy,
+    position_node, position_node_scratch, position_node_with, FitObjective, PositionOutcome,
+    PositionScratch, RefSample, SecurityPolicy,
 };
 pub use sim::NpsSim;

@@ -3,10 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 use vcoord_defense::Provenance;
-use vcoord_space::{
-    simplex_downhill_resume, simplex_downhill_scratch, Coord, ResumePolicy, SimplexOptions,
-    SimplexScratch, SimplexSeed, Space,
-};
+use vcoord_space::{simplex_downhill_scratch, Coord, SimplexOptions, SimplexScratch, Space};
 
 /// The latency-fit objective minimized by Simplex Downhill.
 ///
@@ -115,7 +112,7 @@ pub struct PositionOutcome {
 /// Reusable buffers for one Simplex fit: the kernel's working state, the
 /// objective's evaluation coordinate, the gathered SoA reference rows
 /// feeding [`Space::distance_flat_batch`], and the initial-vertex term
-/// cache shared between a positioning's two cold fits.
+/// cache shared between a positioning's two fits.
 #[derive(Debug, Clone)]
 struct FitScratch {
     simplex: SimplexScratch,
@@ -154,14 +151,14 @@ impl Default for FitScratch {
 /// How one fit interacts with the initial-vertex term cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CacheMode {
-    /// No caching (warm-started fits; standalone fits).
+    /// No caching (a final fit with no provisional fit before it).
     Off,
     /// Record each sample's `term * weight` for the first `n + 1`
     /// (initial-vertex) objective evaluations.
     Fill,
     /// Serve the first `n + 1` evaluations by re-summing the recorded
     /// per-sample terms over this fit's index set — bit-identical to
-    /// recomputing them, because the initial vertices of two cold fits
+    /// recomputing them, because the initial vertices of two fits
     /// from the same start are the same points and each term only depends
     /// on its own sample.
     Use,
@@ -230,9 +227,8 @@ pub fn position_node(
 /// `probe` coordinate. All reference distances for one evaluation come from
 /// a single [`Space::distance_flat_batch`] call over rows gathered once per
 /// fit — bit-identical to the per-sample `space.distance` loop it replaces.
-/// `seed` warm-starts the kernel via [`simplex_downhill_resume`];
 /// `cache_mode` shares initial-vertex terms between a positioning's two
-/// cold fits (see [`CacheMode`]). Returns the fitted coordinate, the final
+/// fits (see [`CacheMode`]). Returns the fitted coordinate, the final
 /// objective value, and the number of objective evaluations performed.
 #[allow(clippy::too_many_arguments)]
 fn fit_samples(
@@ -244,7 +240,6 @@ fn fit_samples(
     objective_kind: FitObjective,
     fit: &mut FitScratch,
     cache_mode: CacheMode,
-    seed: Option<(&ResumePolicy, &mut SimplexSeed)>,
 ) -> (Coord, f64, usize) {
     let FitScratch {
         simplex,
@@ -307,12 +302,7 @@ fn fit_samples(
             .sum()
     };
     let fit_span = vcoord_obs::span(vcoord_obs::metric_id!("simplex.fit_ns"));
-    let result = match seed {
-        Some((policy, seed)) => {
-            simplex_downhill_resume(objective, &start.vec, opts, policy, seed, simplex)
-        }
-        None => simplex_downhill_scratch(objective, &start.vec, opts, simplex),
-    };
+    let result = simplex_downhill_scratch(objective, &start.vec, opts, simplex);
     drop(fit_span);
     let mut coord = Coord::from_vec(result.point);
     coord.sanitize();
@@ -374,66 +364,6 @@ pub fn position_node_scratch(
     objective_kind: FitObjective,
     scratch: &mut PositionScratch,
 ) -> Option<PositionOutcome> {
-    position_node_impl(
-        space,
-        samples,
-        start,
-        incumbent,
-        security,
-        opts,
-        objective_kind,
-        None,
-        scratch,
-    )
-}
-
-/// [`position_node_scratch`] with a per-node warm-start seed.
-///
-/// With a cold-only `policy` ([`ResumePolicy::always_cold`]) this is
-/// bitwise-identical to [`position_node_scratch`]. With a warm policy the
-/// *final* fit resumes from `seed` — the converged simplex of this node's
-/// previous positioning — typically collapsing the per-round evaluation
-/// count; the strict-mode optimizations (duplicate-fit skip and
-/// initial-vertex term cache) are disabled because warm initial vertices
-/// differ between fits.
-#[allow(clippy::too_many_arguments)]
-pub fn position_node_seeded(
-    space: &Space,
-    samples: &[RefSample],
-    start: &Coord,
-    incumbent: Option<&Coord>,
-    security: SecurityPolicy,
-    opts: &SimplexOptions,
-    objective_kind: FitObjective,
-    policy: &ResumePolicy,
-    seed: &mut SimplexSeed,
-    scratch: &mut PositionScratch,
-) -> Option<PositionOutcome> {
-    position_node_impl(
-        space,
-        samples,
-        start,
-        incumbent,
-        security,
-        opts,
-        objective_kind,
-        Some((policy, seed)),
-        scratch,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn position_node_impl(
-    space: &Space,
-    samples: &[RefSample],
-    start: &Coord,
-    incumbent: Option<&Coord>,
-    security: SecurityPolicy,
-    opts: &SimplexOptions,
-    objective_kind: FitObjective,
-    seed: Option<(&ResumePolicy, &mut SimplexSeed)>,
-    scratch: &mut PositionScratch,
-) -> Option<PositionOutcome> {
     let PositionScratch {
         fit,
         usable,
@@ -451,9 +381,6 @@ fn position_node_impl(
         );
         return None;
     }
-    let warm = seed
-        .as_ref()
-        .is_some_and(|(policy, _)| !policy.is_cold_only());
     let mut evals = 0usize;
 
     // Reference frame for outlier rejection: the incumbent when available,
@@ -464,11 +391,6 @@ fn position_node_impl(
     let frame: Coord = match incumbent {
         Some(c) => c.clone(),
         None => {
-            let mode = if warm {
-                CacheMode::Off
-            } else {
-                CacheMode::Fill
-            };
             let (c, v, e) = fit_samples(
                 space,
                 samples,
@@ -477,13 +399,10 @@ fn position_node_impl(
                 opts,
                 objective_kind,
                 fit,
-                mode,
-                None,
+                CacheMode::Fill,
             );
             evals += e;
-            if !warm {
-                provisional = Some((c.clone(), v));
-            }
+            provisional = Some((c.clone(), v));
             c
         }
     };
@@ -514,7 +433,7 @@ fn position_node_impl(
     };
     // `surviving` preserves `usable`'s order, so equal length means the
     // final fit would repeat the provisional fit bit for bit (same samples,
-    // start, options, cold kernel): reuse its result instead.
+    // start and options): reuse its result instead.
     let dup_skip = provisional.is_some() && fit_over.len() == usable.len();
     let (coord, objective_value) = if dup_skip {
         provisional.expect("dup_skip implies a provisional fit")
@@ -533,7 +452,6 @@ fn position_node_impl(
             objective_kind,
             fit,
             mode,
-            seed,
         );
         evals += e;
         (c, v)

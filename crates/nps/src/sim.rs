@@ -23,9 +23,7 @@ use crate::defense::{
 use crate::evals;
 use crate::layers::{assign_layers, select_landmarks};
 use crate::membership::Membership;
-use crate::position::{
-    position_node_scratch, position_node_seeded, PositionScratch, RefSample, SecurityPolicy,
-};
+use crate::position::{position_node_scratch, PositionScratch, RefSample, SecurityPolicy};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
@@ -33,7 +31,7 @@ use std::collections::VecDeque;
 use vcoord_chaos::{ChaosCounters, ChaosPlan, ChaosState, ProbeFate};
 use vcoord_metrics::FilterLedger;
 use vcoord_netsim::{Engine, NodeId, Scheduler, SeedStream, World};
-use vcoord_space::{Coord, SimplexSeed, Space};
+use vcoord_space::{Coord, Space};
 use vcoord_topo::RttMatrix;
 
 const TAG_REPOSITION: u64 = 1;
@@ -95,13 +93,6 @@ struct NpsWorld {
     adv_rng: ChaCha12Rng,
     /// Reusable Simplex/positioning buffers (allocation-free hot path).
     pos_scratch: PositionScratch,
-    /// Per-node converged simplex carried between rounds. Only consulted
-    /// under [`PositioningMode::Warm`]; under `Strict` the cold-only resume
-    /// policy ignores it entirely, keeping strict runs bit-identical to the
-    /// pre-warm-start engine.
-    ///
-    /// [`PositioningMode::Warm`]: crate::config::PositioningMode::Warm
-    warm_seeds: Vec<SimplexSeed>,
     /// Recycled gathering buffer for one round's reference samples.
     samples_buf: Vec<RefSample>,
     /// Recycled copy of the repositioning node's reference set (decouples
@@ -442,14 +433,12 @@ impl NpsWorld {
         self.drain_reputation_events();
 
         let mut scratch = std::mem::take(&mut self.pos_scratch);
-        let mut seed = std::mem::take(&mut self.warm_seeds[node]);
-        let policy = self.config.positioning.policy();
         let incumbent = if self.positioned[node] {
             Some(&self.coords[node])
         } else {
             None
         };
-        let outcome = position_node_seeded(
+        let outcome = position_node_scratch(
             &self.config.space,
             &samples,
             &self.coords[node],
@@ -457,12 +446,9 @@ impl NpsWorld {
             self.security(),
             &self.config.simplex,
             self.config.objective,
-            &policy,
-            &mut seed,
             &mut scratch,
         );
         self.pos_scratch = scratch;
-        self.warm_seeds[node] = seed;
         self.samples_buf = samples;
         let Some(outcome) = outcome else {
             self.counters.skipped_rounds += 1;
@@ -575,7 +561,6 @@ impl World for NpsWorld {
                 if self.layer[r] != 0 && !self.malicious[r] {
                     self.positioned[r] = false;
                     self.coords[r] = self.config.space.origin();
-                    self.warm_seeds[r] = SimplexSeed::default();
                 }
             }
             if chaos.is_down(node) {
@@ -709,7 +694,6 @@ impl NpsSim {
             probe_rng: seeds.rng("nps/probe"),
             adv_rng: seeds.rng("nps/adversary"),
             pos_scratch: lm_scratch,
-            warm_seeds: vec![SimplexSeed::default(); n],
             samples_buf: lm_samples,
             refs_buf: Vec::new(),
             rep_banned: Vec::new(),
@@ -999,56 +983,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_mode_halves_objective_evals_and_still_converges() {
-        let run = |mode: crate::config::PositioningMode| {
-            let seeds = SeedStream::new(9);
-            let matrix =
-                KingLike::new(KingLikeConfig::with_nodes(80)).generate(&mut seeds.rng("topo"));
-            let config = NpsConfig {
-                landmarks: 12,
-                refs_per_node: 12,
-                space: Space::Euclidean(4),
-                positioning: mode,
-                ..NpsConfig::default()
-            };
-            let mut sim = NpsSim::new(matrix, config, &seeds);
-            // Let the join transient pass: during it every node's early
-            // fits are dominated by large coordinate moves, which no warm
-            // start can skip. The collapse claim is about the steady
-            // repositioning regime.
-            sim.run_ms(1_200_000);
-            let warmed = sim.counters();
-            sim.run_ms(1_200_000);
-            let c = sim.counters();
-            let plan = EvalPlan::new(&sim.eval_nodes(), &mut SeedStream::new(7).rng("plan"));
-            let err = plan.avg_error(sim.coords(), sim.space(), sim.matrix());
-            (
-                c.objective_evals - warmed.objective_evals,
-                c.positionings - warmed.positionings,
-                err,
-            )
-        };
-        let (strict_evals, strict_rounds, strict_err) = run(crate::config::PositioningMode::Strict);
-        let (warm_evals, warm_rounds, warm_err) = run(crate::config::PositioningMode::Warm(
-            vcoord_space::ResumePolicy::default_warm(),
-        ));
-        // Identical round structure (same seeds, same probe stream)...
-        assert_eq!(warm_rounds, strict_rounds);
-        // ...at less than half the objective evaluations (the tentpole's
-        // ≥ 2× collapse, measured end to end over whole steady-state
-        // rounds, forced cold restarts included)...
-        assert!(
-            warm_evals * 2 <= strict_evals,
-            "warm {warm_evals} vs strict {strict_evals} evals over {strict_rounds} rounds"
-        );
-        // ...without giving up embedding quality.
-        assert!(
-            warm_err < strict_err + 0.05,
-            "warm error {warm_err} vs strict {strict_err}"
-        );
-    }
-
-    #[test]
     fn strict_counters_record_objective_evals() {
         let mut sim = small_sim(60, 11);
         sim.run_ms(300_000);
@@ -1316,7 +1250,7 @@ mod tests {
             "restarted node must reposition again"
         );
         assert_eq!(sim.chaos_counters().unwrap().restarts, 1);
-        // The rejoin started from scratch (origin + cold seed), so the
+        // The rejoin started from scratch (at the origin), so the
         // re-fit lands somewhere new rather than resuming the old state.
         assert_ne!(sim.coords()[victim], coord_before);
     }

@@ -1,10 +1,9 @@
 //! Allocation accounting for the instrumented NPS fit path with the obs
 //! plane off: the per-round evals histogram (`evals::record_round`, on the
 //! always-on aggregate plane) must be allocation-free, and the Simplex
-//! kernels must stay at exactly one allocation per call (the returned
-//! point) — i.e. the `simplex.evals` / warm-vs-cold counters added to them
-//! must cost nothing when disabled, and `SimplexSeed::store` must reuse
-//! its capacity across rounds.
+//! kernel must stay at exactly one allocation per call (the returned
+//! point) — i.e. the `simplex.evals` / `simplex.converged` /
+//! `simplex.capped` counters added to it must cost nothing when disabled.
 //!
 //! This file holds exactly one `#[test]`: the libtest harness runs tests on
 //! worker threads, and a sibling test allocating concurrently would
@@ -12,10 +11,7 @@
 
 use vcoord_nps::evals;
 use vcoord_obs::testing::{allocations, min_allocations_over, CountingAllocator};
-use vcoord_space::{
-    simplex_downhill_resume, simplex_downhill_scratch, ResumePolicy, SimplexOptions,
-    SimplexScratch, SimplexSeed,
-};
+use vcoord_space::{simplex_downhill_scratch, SimplexOptions, SimplexScratch};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
@@ -36,8 +32,8 @@ fn fit_hot_path_allocation_budget_holds_with_obs_off() {
         "evals::record_round allocated with the obs plane off"
     );
 
-    // --- Cold kernel: exactly one allocation per call (the returned
-    // point), so the disabled `simplex.evals` counter adds nothing. ---
+    // --- Kernel: exactly one allocation per call (the returned
+    // point), so the disabled Simplex counters add nothing. ---
     let objective = |x: &[f64]| -> f64 { x.iter().map(|v| (v - 3.0) * (v - 3.0)).sum::<f64>() };
     let opts = SimplexOptions::default();
     let start = vec![1.0; 4];
@@ -56,30 +52,7 @@ fn fit_hot_path_allocation_budget_holds_with_obs_off() {
     });
     assert_eq!(
         allocs, CALLS,
-        "cold simplex kernel must allocate exactly the returned point per call"
-    );
-
-    // --- Warm-resume kernel: same budget once the seed has been stored
-    // once (its vertex buffers are reused, and the warm/cold counter block
-    // is behind the disabled gate). ---
-    let policy = ResumePolicy::default_warm();
-    let mut seed = SimplexSeed::new();
-    let _ = simplex_downhill_resume(objective, &start, &opts, &policy, &mut seed, &mut scratch);
-    let allocs = min_allocations_over(3, || {
-        for _ in 0..CALLS {
-            std::hint::black_box(simplex_downhill_resume(
-                objective,
-                &start,
-                &opts,
-                &policy,
-                &mut seed,
-                &mut scratch,
-            ));
-        }
-    });
-    assert_eq!(
-        allocs, CALLS,
-        "warm-resume simplex kernel must allocate exactly the returned point per call"
+        "simplex kernel must allocate exactly the returned point per call"
     );
 
     // Allocator sanity: the counter does observe real allocations.

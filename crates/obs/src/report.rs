@@ -191,7 +191,7 @@ impl Digest {
 }
 
 /// One row of the cross-trace health matrix: the defense / chaos /
-/// warm-start vitals of a single figure's trace.
+/// Simplex stopping-rule vitals of a single figure's trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SummaryRow {
     pub fig: String,
@@ -204,9 +204,10 @@ pub struct SummaryRow {
     /// Recovery actions: `chaos.restarts + chaos.retries + chaos.failovers
     /// + chaos.leases`.
     pub recoveries: u64,
-    /// `simplex.warm_start / (warm_start + cold_restart)`; `NaN` when the
-    /// figure ran no Simplex fits.
-    pub warm_share: f64,
+    /// `simplex.converged / (converged + capped)`: the share of Simplex
+    /// fits the stopping rule ended before the iteration cap; `NaN` when
+    /// the figure ran no Simplex fits.
+    pub converged_share: f64,
 }
 
 /// Reduce one digest to its health-matrix row.
@@ -218,8 +219,8 @@ pub fn summarize(d: &Digest) -> SummaryRow {
             .map(|&(_, v)| v)
             .unwrap_or(0)
     };
-    let warm = c("simplex.warm_start");
-    let cold = c("simplex.cold_restart");
+    let converged = c("simplex.converged");
+    let capped = c("simplex.capped");
     SummaryRow {
         fig: d.fig.clone(),
         accepts: c("defense.accept"),
@@ -231,7 +232,7 @@ pub fn summarize(d: &Digest) -> SummaryRow {
             + c("chaos.retries")
             + c("chaos.failovers")
             + c("chaos.leases"),
-        warm_share: warm as f64 / (warm + cold) as f64,
+        converged_share: converged as f64 / (converged + capped) as f64,
     }
 }
 
@@ -239,18 +240,18 @@ pub fn summarize(d: &Digest) -> SummaryRow {
 pub fn summary_text(rows: &[SummaryRow]) -> String {
     let mut out = format!(
         "{:<28} {:>10} {:>10} {:>8} {:>8} {:>8} {:>10} {:>8}\n",
-        "fig", "accepts", "rejects", "bans", "reinst", "faults", "recover", "warm%"
+        "fig", "accepts", "rejects", "bans", "reinst", "faults", "recover", "conv%"
     );
     for r in rows {
-        let warm = if r.warm_share.is_nan() {
+        let conv = if r.converged_share.is_nan() {
             "-".to_string()
         } else {
-            format!("{:.1}", r.warm_share * 100.0)
+            format!("{:.1}", r.converged_share * 100.0)
         };
         let _ = writeln!(
             out,
             "{:<28} {:>10} {:>10} {:>8} {:>8} {:>8} {:>10} {:>8}",
-            r.fig, r.accepts, r.rejects, r.bans, r.reinstates, r.faults, r.recoveries, warm
+            r.fig, r.accepts, r.rejects, r.bans, r.reinstates, r.faults, r.recoveries, conv
         );
     }
     out
@@ -259,16 +260,16 @@ pub fn summary_text(rows: &[SummaryRow]) -> String {
 /// Render the health matrix as CSV.
 pub fn summary_csv(rows: &[SummaryRow]) -> String {
     let mut out =
-        String::from("fig,accepts,rejects,bans,reinstates,faults,recoveries,warm_share\n");
+        String::from("fig,accepts,rejects,bans,reinstates,faults,recoveries,converged_share\n");
     for r in rows {
-        let warm = if r.warm_share.is_nan() {
+        let conv = if r.converged_share.is_nan() {
             String::new()
         } else {
-            format!("{}", r.warm_share)
+            format!("{}", r.converged_share)
         };
         let _ = writeln!(
             out,
-            "{},{},{},{},{},{},{},{warm}",
+            "{},{},{},{},{},{},{},{conv}",
             r.fig, r.accepts, r.rejects, r.bans, r.reinstates, r.faults, r.recoveries
         );
     }
@@ -396,8 +397,8 @@ mod tests {
                 ("chaos.retries", 5),
                 ("defense.ban", 7),
                 ("defense.reinstate", 1),
-                ("simplex.warm_start", 30),
-                ("simplex.cold_restart", 10),
+                ("simplex.converged", 30),
+                ("simplex.capped", 10),
             ],
         );
         let quiet = mk("fig1", vec![]);
@@ -405,8 +406,8 @@ mod tests {
         assert_eq!(rows[0].faults, 3);
         assert_eq!(rows[0].recoveries, 7);
         assert_eq!(rows[0].bans, 7);
-        assert!((rows[0].warm_share - 0.75).abs() < 1e-12);
-        assert!(rows[1].warm_share.is_nan());
+        assert!((rows[0].converged_share - 0.75).abs() < 1e-12);
+        assert!(rows[1].converged_share.is_nan());
         let text = summary_text(&rows);
         assert!(text.contains("chaos-x") && text.contains("75.0"));
         let csv = summary_csv(&rows);

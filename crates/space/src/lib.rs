@@ -15,7 +15,9 @@
 //!   `EuclideanHeight(d)`, or `Spherical`), with distance, direction and
 //!   random-point primitives.
 //! * [`simplex`] — a Nelder–Mead Simplex Downhill minimizer, the optimization
-//!   engine used by GNP/NPS to embed nodes from latency measurements.
+//!   engine used by GNP/NPS to embed nodes from latency measurements. Its
+//!   stopping rule is a scale-free relative tolerance, so one setting fits
+//!   any objective's units.
 //!
 //! Design notes (see `DESIGN.md` at the workspace root): dimensions are
 //! runtime values rather than const generics — the workspace follows the
@@ -32,7 +34,6 @@ pub mod vector;
 pub use coord::{Coord, Displacement};
 pub use lanes::{dist_batch, dist_batch_scalar};
 pub use simplex::{
-    simplex_downhill, simplex_downhill_resume, simplex_downhill_scratch, ResumePolicy,
-    SimplexOptions, SimplexResult, SimplexScratch, SimplexSeed,
+    simplex_downhill, simplex_downhill_scratch, SimplexOptions, SimplexResult, SimplexScratch,
 };
 pub use space::Space;

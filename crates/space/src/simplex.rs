@@ -17,16 +17,21 @@
 //! trajectories match the retained [`oracle`] exactly (property-tested in
 //! this module and relied on by the figure-CSV golden tests).
 //!
-//! A third entry point, [`simplex_downhill_resume`], supports *warm starts*:
-//! a caller-held [`SimplexSeed`] carries the converged simplex from one run
-//! to the next, and a [`ResumePolicy`] controls how the seed is re-inflated
-//! (damped restart) and how often a full cold restart is forced. With
-//! [`ResumePolicy::always_cold`] the resume path executes exactly the same
-//! floating-point program as [`simplex_downhill_scratch`] — the strict mode
-//! that keeps figure CSVs byte-identical — while warm policies trade that
-//! pin for far fewer objective evaluations per run. Every entry point counts
-//! objective evaluations in [`SimplexResult::evals`] so the saving is
-//! measurable.
+//! Every entry point counts objective evaluations in
+//! [`SimplexResult::evals`] and reports whether the stopping rule or the
+//! iteration cap ended the search in [`SimplexResult::converged`].
+//!
+//! # Stopping rule
+//!
+//! [`SimplexOptions::tolerance`] is a *relative* tolerance, the textbook
+//! test of Numerical Recipes' `amoeba`: the search stops as soon as
+//! `2·|f_worst − f_best| ≤ tolerance·(|f_worst| + |f_best| + 1e-10)`. The
+//! test is scale-free — multiplying the objective by a power of two leaves
+//! every decision, and so every trajectory, unchanged — so one tolerance
+//! serves objectives measured in ms² and in unit-free ratios alike. An
+//! absolute spread test on an NPS objective (ms², residuals in the
+//! hundreds) never fires and silently turns every fit into a full
+//! iteration-cap run.
 
 /// Tuning knobs for [`simplex_downhill`].
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -41,7 +46,10 @@ pub struct SimplexOptions {
     pub sigma: f64,
     /// Initial step added to each axis to build the starting simplex.
     pub initial_step: f64,
-    /// Stop when the best–worst objective spread falls below this.
+    /// Relative stopping tolerance: stop once
+    /// `2·|f_worst − f_best| ≤ tolerance·(|f_worst| + |f_best| + 1e-10)`
+    /// (Numerical Recipes' `amoeba` test; see the module docs). Scale-free:
+    /// it does not depend on the objective's units.
     pub tolerance: f64,
     /// Hard iteration cap.
     pub max_iterations: usize,
@@ -76,111 +84,6 @@ pub struct SimplexResult {
     /// Objective evaluations performed, counting the `n + 1` initial-vertex
     /// evaluations as well as every trial and shrink evaluation.
     pub evals: usize,
-}
-
-/// Restart policy for [`simplex_downhill_resume`].
-///
-/// `damping` and `min_extent` control how a carried [`SimplexSeed`] is
-/// re-inflated before the descent: the seed simplex (usually collapsed to
-/// tolerance scale by the previous run) is scaled about its best vertex so
-/// its largest per-axis extent is at least
-/// `max(damping * initial_step, min_extent)`. `cold_every` forces a full
-/// cold restart every so many consecutive warm starts so drift cannot
-/// accumulate unboundedly.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ResumePolicy {
-    /// Fraction of [`SimplexOptions::initial_step`] used as the warm-start
-    /// simplex extent.
-    pub damping: f64,
-    /// Absolute floor on the warm-start simplex extent.
-    pub min_extent: f64,
-    /// Force a cold restart after this many consecutive warm starts.
-    /// `1` means every start is cold (strict mode); `0` disables forced
-    /// cold restarts entirely.
-    pub cold_every: u32,
-}
-
-impl ResumePolicy {
-    /// Strict mode: every start is a cold restart. With this policy
-    /// [`simplex_downhill_resume`] is bitwise-identical to
-    /// [`simplex_downhill_scratch`].
-    pub fn always_cold() -> ResumePolicy {
-        ResumePolicy {
-            damping: 0.0,
-            min_extent: 0.0,
-            cold_every: 1,
-        }
-    }
-
-    /// Default warm-start policy: re-inflate to 0.2% of the cold initial
-    /// step (floored at `1e-3`), with a forced cold restart every 64 runs.
-    ///
-    /// The tight extent is deliberate: a resumed run only pays for descent
-    /// when the objective actually moved since the last round, which is
-    /// what makes warm starts collapse the per-round evaluation count.
-    pub fn default_warm() -> ResumePolicy {
-        ResumePolicy {
-            damping: 0.002,
-            min_extent: 1e-3,
-            cold_every: 64,
-        }
-    }
-
-    /// Whether this policy never warm-starts (strict mode).
-    pub fn is_cold_only(&self) -> bool {
-        self.cold_every == 1
-    }
-}
-
-/// Carried simplex state for [`simplex_downhill_resume`].
-///
-/// Stores the final simplex of the previous run (best vertex first) plus the
-/// number of consecutive warm starts taken from it. An empty seed — or one
-/// whose dimension does not match the new problem — always produces a cold
-/// start.
-#[derive(Debug, Clone, Default)]
-pub struct SimplexSeed {
-    /// Previous run's final vertices, best first; empty means "no seed".
-    verts: Vec<Vec<f64>>,
-    /// Consecutive warm starts taken from this seed lineage.
-    streak: u32,
-}
-
-impl SimplexSeed {
-    /// A fresh, empty seed (first use is always a cold start).
-    pub fn new() -> SimplexSeed {
-        SimplexSeed::default()
-    }
-
-    /// Dimension of the stored simplex, or `None` when empty.
-    pub fn dim(&self) -> Option<usize> {
-        self.verts.first().map(Vec::len)
-    }
-
-    /// Consecutive warm starts taken from this seed lineage.
-    pub fn warm_streak(&self) -> u32 {
-        self.streak
-    }
-
-    /// Drop the stored simplex; the next resume is a cold start.
-    pub fn clear(&mut self) {
-        self.verts.clear();
-        self.streak = 0;
-    }
-
-    /// Capture the final simplex of a finished descent, best vertex first.
-    fn store(&mut self, scratch: &SimplexScratch, was_warm: bool) {
-        self.verts.resize_with(scratch.verts.len(), Vec::new);
-        for (slot, &idx) in self.verts.iter_mut().zip(&scratch.order) {
-            slot.clear();
-            slot.extend_from_slice(&scratch.verts[idx]);
-        }
-        self.streak = if was_warm {
-            self.streak.saturating_add(1)
-        } else {
-            0
-        };
-    }
 }
 
 /// Reusable working state for [`simplex_downhill_scratch`].
@@ -319,76 +222,8 @@ where
             f64::INFINITY
         }
     };
-    init_cold(&mut scratch.verts, x0, opts);
-    let (iterations, converged) = descend(&mut eval, opts, scratch, n);
-    vcoord_obs::counter_add(vcoord_obs::metric_id!("simplex.evals"), evals as u64);
-    finish(scratch, iterations, converged, evals)
-}
-
-/// Minimize `f`, warm-starting from `seed` when `policy` allows it.
-///
-/// On a cold start (empty or dimension-mismatched seed, strict policy, or a
-/// forced restart per [`ResumePolicy::cold_every`]) this executes exactly
-/// the floating-point program of [`simplex_downhill_scratch`] — bitwise
-/// identical results. On a warm start the previous run's simplex is
-/// re-inflated about its best vertex (see [`ResumePolicy`]) and the descent
-/// begins there, typically converging in far fewer objective evaluations.
-/// Either way the finished simplex is stored back into `seed` for the next
-/// call.
-///
-/// # Panics
-/// Panics if `x0` is empty.
-pub fn simplex_downhill_resume<F>(
-    mut f: F,
-    x0: &[f64],
-    opts: &SimplexOptions,
-    policy: &ResumePolicy,
-    seed: &mut SimplexSeed,
-    scratch: &mut SimplexScratch,
-) -> SimplexResult
-where
-    F: FnMut(&[f64]) -> f64,
-{
-    assert!(!x0.is_empty(), "cannot optimize a zero-dimensional point");
-    let n = x0.len();
-    let warm = !policy.is_cold_only()
-        && seed.verts.len() == n + 1
-        && seed.verts.iter().all(|v| v.len() == n)
-        && (policy.cold_every == 0 || seed.streak + 1 < policy.cold_every);
-    scratch.reset(n);
-    let mut evals = 0usize;
-    let mut eval = |x: &[f64]| -> f64 {
-        evals += 1;
-        let v = f(x);
-        if v.is_finite() {
-            v
-        } else {
-            f64::INFINITY
-        }
-    };
-    if warm {
-        init_warm(&mut scratch.verts, seed, opts, policy);
-    } else {
-        init_cold(&mut scratch.verts, x0, opts);
-    }
-    let (iterations, converged) = descend(&mut eval, opts, scratch, n);
-    seed.store(scratch, warm);
-    if vcoord_obs::enabled() {
-        let which = if warm {
-            vcoord_obs::metric_id!("simplex.warm_start")
-        } else {
-            vcoord_obs::metric_id!("simplex.cold_restart")
-        };
-        vcoord_obs::counter_add(which, 1);
-        vcoord_obs::counter_add(vcoord_obs::metric_id!("simplex.evals"), evals as u64);
-    }
-    finish(scratch, iterations, converged, evals)
-}
-
-/// Initial simplex for a cold start: `x0` plus one vertex per axis.
-#[inline]
-fn init_cold(verts: &mut [Vec<f64>], x0: &[f64], opts: &SimplexOptions) {
-    for (k, v) in verts.iter_mut().enumerate() {
+    // Initial simplex: `x0` plus one vertex per axis.
+    for (k, v) in scratch.verts.iter_mut().enumerate() {
         v.copy_from_slice(x0);
         if k > 0 {
             let i = k - 1;
@@ -399,60 +234,16 @@ fn init_cold(verts: &mut [Vec<f64>], x0: &[f64], opts: &SimplexOptions) {
             };
         }
     }
-}
-
-/// Initial simplex for a warm start: the seed simplex re-inflated about its
-/// best vertex so its largest per-axis extent is at least
-/// `max(damping * initial_step, min_extent)`. A fully degenerate seed
-/// (zero extent) falls back to a cold-style axis simplex of that extent
-/// around the previous best point.
-fn init_warm(
-    verts: &mut [Vec<f64>],
-    seed: &SimplexSeed,
-    opts: &SimplexOptions,
-    policy: &ResumePolicy,
-) {
-    let center = &seed.verts[0];
-    let mut max_ext = 0.0f64;
-    for v in &seed.verts[1..] {
-        for (x, c) in v.iter().zip(center) {
-            max_ext = max_ext.max((x - c).abs());
-        }
-    }
-    let target = (policy.damping * opts.initial_step).max(policy.min_extent);
-    if max_ext > 0.0 && max_ext.is_finite() {
-        let scale = if max_ext < target {
-            target / max_ext
+    let (iterations, converged) = descend(&mut eval, opts, scratch, n);
+    if vcoord_obs::enabled() {
+        vcoord_obs::counter_add(vcoord_obs::metric_id!("simplex.evals"), evals as u64);
+        let ended_by = if converged {
+            vcoord_obs::metric_id!("simplex.converged")
         } else {
-            1.0
+            vcoord_obs::metric_id!("simplex.capped")
         };
-        for (v, s) in verts.iter_mut().zip(&seed.verts) {
-            for ((x, sx), c) in v.iter_mut().zip(s).zip(center) {
-                *x = c + scale * (sx - c);
-            }
-        }
-    } else {
-        for (k, v) in verts.iter_mut().enumerate() {
-            v.copy_from_slice(center);
-            if k > 0 {
-                let i = k - 1;
-                v[i] += if v[i].abs() > 1.0 {
-                    target.copysign(v[i])
-                } else {
-                    target
-                };
-            }
-        }
+        vcoord_obs::counter_add(ended_by, 1);
     }
-}
-
-/// Best vertex and result assembly shared by every entry point.
-fn finish(
-    scratch: &SimplexScratch,
-    iterations: usize,
-    converged: bool,
-    evals: usize,
-) -> SimplexResult {
     let (bi, bv) = scratch
         .vals
         .iter()
@@ -468,13 +259,18 @@ fn finish(
     }
 }
 
-/// The shared descent loop: evaluate the already-initialized vertices,
-/// establish the `(value, index)` order, and run the standard reflect /
-/// expand / contract / shrink moves until tolerance or the iteration cap.
-///
-/// Extracted verbatim from the PR 3 kernel so cold starts through any entry
-/// point perform bit-identical floating-point operations in the identical
-/// order.
+/// The relative stopping test shared by the kernel and the [`oracle`]: the
+/// best–worst spread is within `tolerance` of the values' magnitude. An
+/// infinite worst vertex (a poisoned region) never counts as converged.
+#[inline]
+fn spread_converged(best: f64, worst: f64, tolerance: f64) -> bool {
+    worst.is_finite()
+        && 2.0 * (worst - best).abs() <= tolerance * (worst.abs() + best.abs() + 1e-10)
+}
+
+/// The descent loop: evaluate the already-initialized vertices, establish
+/// the `(value, index)` order, and run the standard reflect / expand /
+/// contract / shrink moves until the stopping rule or the iteration cap.
 fn descend<E>(
     eval: &mut E,
     opts: &SimplexOptions,
@@ -529,7 +325,7 @@ where
         let worst = order[n];
         let second_worst = order[n - 1];
 
-        if (vals[worst] - vals[best]).abs() < opts.tolerance {
+        if spread_converged(vals[best], vals[worst], opts.tolerance) {
             converged = true;
             break;
         }
@@ -602,14 +398,15 @@ where
     (iterations, converged)
 }
 
-/// The original allocating implementation, retained verbatim as the
-/// correctness and performance oracle for the allocation-free kernel.
+/// The original allocating implementation, retained as the correctness
+/// and performance oracle for the allocation-free kernel. It shares only
+/// the stopping test with the kernel, so both stop under one rule.
 ///
 /// Property tests prove [`simplex_downhill`] reproduces this function's
 /// trajectories bit for bit; the `kernels` bench measures the speedup
 /// against it. Not intended for production use.
 pub mod oracle {
-    use super::{SimplexOptions, SimplexResult};
+    use super::{spread_converged, SimplexOptions, SimplexResult};
 
     /// Reference Nelder–Mead implementation (full sort + fresh allocations
     /// every iteration). See the module docs.
@@ -664,7 +461,7 @@ pub mod oracle {
             let worst = order[n];
             let second_worst = order[n - 1];
 
-            if (vals[worst] - vals[best]).abs() < opts.tolerance {
+            if spread_converged(vals[best], vals[worst], opts.tolerance) {
                 converged = true;
                 break;
             }
@@ -920,126 +717,5 @@ mod tests {
         let r = simplex_downhill(f, &[0.0, 0.0], &SimplexOptions::default());
         assert_eq!(r.evals, calls.get());
         assert!(r.evals >= 3, "at least the initial vertices are evaluated");
-    }
-
-    #[test]
-    fn resume_cold_policy_is_bit_identical_to_scratch() {
-        let f = |x: &[f64]| (x[0] - 3.0).powi(2) + 2.5 * (x[1] + 5.0).powi(2);
-        let opts = SimplexOptions::default();
-        let mut scratch = SimplexScratch::new();
-        let mut seed = SimplexSeed::new();
-        let policy = ResumePolicy::always_cold();
-        for _ in 0..3 {
-            let via_resume =
-                simplex_downhill_resume(f, &[9.0, -9.0], &opts, &policy, &mut seed, &mut scratch);
-            let direct = simplex_downhill_scratch(f, &[9.0, -9.0], &opts, &mut scratch);
-            assert_eq!(via_resume.iterations, direct.iterations);
-            assert_eq!(via_resume.converged, direct.converged);
-            assert_eq!(via_resume.evals, direct.evals);
-            assert_eq!(via_resume.value.to_bits(), direct.value.to_bits());
-            let a: Vec<u64> = via_resume.point.iter().map(|v| v.to_bits()).collect();
-            let b: Vec<u64> = direct.point.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(a, b);
-            assert_eq!(seed.warm_streak(), 0, "strict mode never warm-starts");
-        }
-    }
-
-    #[test]
-    fn warm_resume_converges_with_fewer_evals() {
-        // Steady-state NPS shape: the optimum drifts slightly each round.
-        let opts = SimplexOptions {
-            initial_step: 20.0,
-            tolerance: 1e-7,
-            max_iterations: 150,
-            ..Default::default()
-        };
-        let policy = ResumePolicy::default_warm();
-        let mut scratch = SimplexScratch::new();
-        let mut seed = SimplexSeed::new();
-        let mut cold_evals = 0usize;
-        let mut warm_evals = 0usize;
-        let mut start = [40.0, -25.0, 10.0];
-        for round in 0..12 {
-            let c = 0.05 * round as f64;
-            let f = |x: &[f64]| {
-                (x[0] - 30.0 - c).powi(2) + 2.0 * (x[1] + 12.0).powi(2) + (x[2] - c).powi(2)
-            };
-            let warm = simplex_downhill_resume(f, &start, &opts, &policy, &mut seed, &mut scratch);
-            let cold = simplex_downhill_scratch(f, &start, &opts, &mut scratch);
-            if round > 0 {
-                warm_evals += warm.evals;
-                cold_evals += cold.evals;
-                // Warm result must still be a good minimizer of the same
-                // objective (bounded divergence from the cold answer).
-                assert!(warm.value <= cold.value + 1e-3, "warm value drifted");
-            }
-            start = [warm.point[0], warm.point[1], warm.point[2]];
-        }
-        assert!(seed.warm_streak() > 0, "warm starts actually happened");
-        assert!(
-            warm_evals * 2 <= cold_evals,
-            "expected >=2x fewer evals warm ({warm_evals}) vs cold ({cold_evals})"
-        );
-    }
-
-    #[test]
-    fn forced_cold_restart_resets_streak() {
-        let f = |x: &[f64]| (x[0] - 1.0).powi(2);
-        let opts = SimplexOptions::default();
-        let policy = ResumePolicy {
-            cold_every: 3,
-            ..ResumePolicy::default_warm()
-        };
-        let mut scratch = SimplexScratch::new();
-        let mut seed = SimplexSeed::new();
-        let mut streaks = Vec::new();
-        for _ in 0..7 {
-            simplex_downhill_resume(f, &[5.0], &opts, &policy, &mut seed, &mut scratch);
-            streaks.push(seed.warm_streak());
-        }
-        // Cold (0), warm (1), warm (2), forced cold (0), warm (1), ...
-        assert_eq!(streaks, vec![0, 1, 2, 0, 1, 2, 0]);
-    }
-
-    #[test]
-    fn degenerate_seed_falls_back_to_axis_simplex() {
-        // A seed collapsed to a single point must still start a valid
-        // descent (axis fallback) rather than a zero-volume simplex.
-        let f = |x: &[f64]| (x[0] - 4.0).powi(2) + (x[1] - 4.0).powi(2);
-        let opts = SimplexOptions::default();
-        let policy = ResumePolicy::default_warm();
-        let mut scratch = SimplexScratch::new();
-        let mut seed = SimplexSeed::new();
-        // Converge hard so the stored simplex is extremely tight, then keep
-        // resuming: every run must keep finding the optimum.
-        for _ in 0..5 {
-            let r =
-                simplex_downhill_resume(f, &[0.0, 0.0], &opts, &policy, &mut seed, &mut scratch);
-            assert!(r.value < 1e-4, "value={}", r.value);
-        }
-    }
-
-    #[test]
-    fn seed_dim_mismatch_forces_cold_start() {
-        let opts = SimplexOptions::default();
-        let policy = ResumePolicy::default_warm();
-        let mut scratch = SimplexScratch::new();
-        let mut seed = SimplexSeed::new();
-        let f2 = |x: &[f64]| (x[0] - 1.0).powi(2) + (x[1] + 2.0).powi(2);
-        simplex_downhill_resume(f2, &[0.0, 0.0], &opts, &policy, &mut seed, &mut scratch);
-        assert_eq!(seed.dim(), Some(2));
-        let f3 = |x: &[f64]| x.iter().map(|v| (v - 1.0) * (v - 1.0)).sum::<f64>();
-        let via_resume = simplex_downhill_resume(
-            f3,
-            &[0.0, 0.0, 0.0],
-            &opts,
-            &policy,
-            &mut seed,
-            &mut scratch,
-        );
-        let direct = simplex_downhill_scratch(f3, &[0.0, 0.0, 0.0], &opts, &mut scratch);
-        assert_eq!(via_resume.evals, direct.evals, "mismatch must cold-start");
-        assert_eq!(via_resume.value.to_bits(), direct.value.to_bits());
-        assert_eq!(seed.dim(), Some(3));
     }
 }
