@@ -26,10 +26,8 @@
 //!   positive being banned forever.
 
 use crate::experiments::attack_figs::{mean_tails, strategy_by};
-use crate::experiments::harness::{
-    run_nps_defended, run_vivaldi_defended, DefenseOutcome, NpsFactory, VivaldiFactory,
-};
-use crate::experiments::{run_repetitions, FigureResult, Scale};
+use crate::experiments::harness::{DefenseOutcome, RunSpec};
+use crate::experiments::{FigureResult, Scale};
 use vcoord_attackkit::{
     AttackStrategy, DefenseModel, EvadingFrogBoil, SleeperCollusion, ThresholdProbe,
 };
@@ -118,20 +116,11 @@ fn vivaldi_arms_cell(
     attack: &'static str,
     defense: &'static str,
 ) -> ArmsCell {
-    let factory: VivaldiFactory<'_> =
-        &move |_sim, _attackers, _seeds| (arms_strategy_by(attack), None);
-    let runs = run_repetitions(scale.repetitions, |rep| {
-        run_vivaldi_defended(
-            scale,
-            Space::Euclidean(2),
-            scale.nodes,
-            FRACTION,
-            seed,
-            rep,
-            factory,
-            Some(&move |_sim, _seeds| arms_defense_by(defense)),
-        )
-    });
+    let runs = RunSpec::vivaldi(Space::Euclidean(2), scale.nodes, FRACTION, &|_, _, _| {
+        (arms_strategy_by(attack), None)
+    })
+    .defense(&|_sim, _seeds| arms_defense_by(defense))
+    .runs(scale, seed);
     let agg = aggregate_defense(runs.iter().map(|r| r.defense.as_ref()));
     ArmsCell {
         err: mean_tails(&runs, |r| &r.attack_series),
@@ -148,19 +137,11 @@ fn nps_arms_cell(
     attack: &'static str,
     defense: &'static str,
 ) -> ArmsCell {
-    let factory: NpsFactory<'_> = &move |_sim, _attackers, _seeds| (arms_strategy_by(attack), None);
-    let runs = run_repetitions(scale.repetitions, |rep| {
-        run_nps_defended(
-            scale,
-            NpsConfig::default(),
-            scale.nodes,
-            FRACTION,
-            seed,
-            rep,
-            factory,
-            Some(&move |_sim, _seeds| arms_defense_by(defense)),
-        )
-    });
+    let runs = RunSpec::nps(NpsConfig::default(), scale.nodes, FRACTION, &|_, _, _| {
+        (arms_strategy_by(attack), None)
+    })
+    .defense(&|_sim, _seeds| arms_defense_by(defense))
+    .runs(scale, seed);
     let agg = aggregate_defense(runs.iter().map(|r| r.defense.as_ref()));
     ArmsCell {
         err: mean_tails(&runs, |r| &r.attack_series),
@@ -267,20 +248,11 @@ pub fn arms_evasion_roc(scale: &Scale, seed: u64) -> FigureResult {
         "j_evading".to_string(),
     ];
     let point = |attack: &'static str, cap: f64| {
-        let factory: VivaldiFactory<'_> =
-            &move |_sim, _attackers, _seeds| (arms_strategy_by(attack), None);
-        let runs = run_repetitions(scale.repetitions, |rep| {
-            run_vivaldi_defended(
-                scale,
-                Space::Euclidean(2),
-                scale.nodes,
-                FRACTION,
-                seed,
-                rep,
-                factory,
-                Some(&move |_sim, _seeds| Box::new(DriftCap::new(cap)) as Box<dyn DefenseStrategy>),
-            )
-        });
+        let runs = RunSpec::vivaldi(Space::Euclidean(2), scale.nodes, FRACTION, &|_, _, _| {
+            (arms_strategy_by(attack), None)
+        })
+        .defense(&|_sim, _seeds| Box::new(DriftCap::new(cap)))
+        .runs(scale, seed);
         let agg = aggregate_defense(runs.iter().map(|r| r.defense.as_ref()));
         (
             agg.confusion.tpr().unwrap_or(0.0),
@@ -339,26 +311,16 @@ pub fn arms_evasion_learning(scale: &Scale, seed: u64) -> FigureResult {
         "err_learning".to_string(),
     ];
     let point = |learning: bool, cap: f64| {
-        let factory: VivaldiFactory<'_> = &move |_sim, _attackers, _seeds| {
+        let runs = RunSpec::vivaldi(Space::Euclidean(2), scale.nodes, FRACTION, &|_, _, _| {
             let evader = if learning {
                 EvadingFrogBoil::learning(5.0, DefenseModel::default())
             } else {
                 EvadingFrogBoil::new(5.0, DefenseModel::default())
             };
-            (Box::new(evader) as Box<dyn AttackStrategy>, None)
-        };
-        let runs = run_repetitions(scale.repetitions, |rep| {
-            run_vivaldi_defended(
-                scale,
-                Space::Euclidean(2),
-                scale.nodes,
-                FRACTION,
-                seed,
-                rep,
-                factory,
-                Some(&move |_sim, _seeds| Box::new(DriftCap::new(cap)) as Box<dyn DefenseStrategy>),
-            )
-        });
+            (Box::new(evader), None)
+        })
+        .defense(&|_sim, _seeds| Box::new(DriftCap::new(cap)))
+        .runs(scale, seed);
         let agg = aggregate_defense(runs.iter().map(|r| r.defense.as_ref()));
         (
             agg.confusion.tpr().unwrap_or(0.0),
@@ -413,29 +375,20 @@ pub fn arms_decay_tradeoff(scale: &Scale, seed: u64) -> FigureResult {
         "banned_honest_final".to_string(),
         "banned_malicious_final".to_string(),
     ];
-    let factory: VivaldiFactory<'_> =
-        &|_sim, _attackers, _seeds| (arms_strategy_by("sleeper"), None);
     let mut rows = Vec::new();
     let mut notes = Vec::new();
     for (i, &hl) in half_lives.iter().enumerate() {
-        let runs = run_repetitions(scale.repetitions, |rep| {
-            run_vivaldi_defended(
-                scale,
-                Space::Euclidean(2),
-                scale.nodes,
-                FRACTION,
-                seed,
-                rep,
-                factory,
-                Some(&move |_sim, _seeds| -> Box<dyn DefenseStrategy> {
-                    if hl > 0.0 {
-                        Box::new(DriftCap::with_decay(cap, DriftDecay::new(hl)))
-                    } else {
-                        Box::new(DriftCap::new(cap))
-                    }
-                }),
-            )
-        });
+        let runs = RunSpec::vivaldi(Space::Euclidean(2), scale.nodes, FRACTION, &|_, _, _| {
+            (arms_strategy_by("sleeper"), None)
+        })
+        .defense(&|_sim, _seeds| -> Box<dyn DefenseStrategy> {
+            if hl > 0.0 {
+                Box::new(DriftCap::with_decay(cap, DriftDecay::new(hl)))
+            } else {
+                Box::new(DriftCap::new(cap))
+            }
+        })
+        .runs(scale, seed);
         let agg = aggregate_defense(runs.iter().map(|r| r.defense.as_ref()));
         let n = runs.len().max(1) as f64;
         let err = mean_tails(&runs, |r| &r.attack_series);

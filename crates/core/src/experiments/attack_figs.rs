@@ -12,8 +12,8 @@
 //! up as a steady non-zero drift — the signature any displacement-threshold
 //! defence has to contend with.
 
-use crate::experiments::harness::{run_nps, run_vivaldi, NpsFactory, VivaldiFactory};
-use crate::experiments::{average_series, run_repetitions, FigureResult, Scale};
+use crate::experiments::harness::RunSpec;
+use crate::experiments::{average_series, FigureResult, Scale};
 use vcoord_attackkit::{
     AttackStrategy, Deflation, FrogBoiling, Inflation, NetworkPartition, Oscillation,
 };
@@ -104,19 +104,10 @@ pub(crate) fn mean_tails<'a, R: 'a>(
 /// malicious fraction.
 pub fn atk_sweep_vivaldi(scale: &Scale, seed: u64) -> FigureResult {
     let (columns, rows, notes) = sweep_rows(|label, fraction| {
-        let factory: VivaldiFactory<'_> =
-            &move |_sim, _attackers, _seeds| (strategy_by(label), None);
-        let runs = run_repetitions(scale.repetitions, |rep| {
-            run_vivaldi(
-                scale,
-                Space::Euclidean(2),
-                scale.nodes,
-                fraction,
-                seed,
-                rep,
-                factory,
-            )
-        });
+        let runs = RunSpec::vivaldi(Space::Euclidean(2), scale.nodes, fraction, &|_, _, _| {
+            (strategy_by(label), None)
+        })
+        .runs(scale, seed);
         (
             mean_tails(&runs, |r| &r.attack_series),
             mean_tails(&runs, |r| &r.drift_series),
@@ -136,18 +127,10 @@ pub fn atk_sweep_vivaldi(scale: &Scale, seed: u64) -> FigureResult {
 /// hierarchy, security filter on).
 pub fn atk_sweep_nps(scale: &Scale, seed: u64) -> FigureResult {
     let (columns, rows, notes) = sweep_rows(|label, fraction| {
-        let factory: NpsFactory<'_> = &move |_sim, _attackers, _seeds| (strategy_by(label), None);
-        let runs = run_repetitions(scale.repetitions, |rep| {
-            run_nps(
-                scale,
-                NpsConfig::default(),
-                scale.nodes,
-                fraction,
-                seed,
-                rep,
-                factory,
-            )
-        });
+        let runs = RunSpec::nps(NpsConfig::default(), scale.nodes, fraction, &|_, _, _| {
+            (strategy_by(label), None)
+        })
+        .runs(scale, seed);
         (
             mean_tails(&runs, |r| &r.attack_series),
             mean_tails(&runs, |r| &r.drift_series),
@@ -177,23 +160,10 @@ pub fn atk_frog_drift(scale: &Scale, seed: u64) -> FigureResult {
     let mut notes = Vec::new();
     for &step in &steps {
         columns.push(format!("drift_step_{step:.0}ms"));
-        let factory: VivaldiFactory<'_> = &move |_sim, _attackers, _seeds| {
-            (
-                Box::new(FrogBoiling::new(step)) as Box<dyn AttackStrategy>,
-                None,
-            )
-        };
-        let runs = run_repetitions(scale.repetitions, |rep| {
-            run_vivaldi(
-                scale,
-                Space::Euclidean(2),
-                scale.nodes,
-                fraction,
-                seed,
-                rep,
-                factory,
-            )
-        });
+        let runs = RunSpec::vivaldi(Space::Euclidean(2), scale.nodes, fraction, &|_, _, _| {
+            (Box::new(FrogBoiling::new(step)), None)
+        })
+        .runs(scale, seed);
         let drifts: Vec<_> = runs.iter().map(|r| r.drift_series.clone()).collect();
         let avg = average_series(&drifts);
         let errs = mean_tails(&runs, |r| &r.attack_series);

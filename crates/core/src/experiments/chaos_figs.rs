@@ -16,25 +16,23 @@
 //!   `chaos-frog-hides-in-churn`)?
 //!
 //! Fault plans are installed at the injection instant through the harness
-//! chaos seam ([`run_vivaldi_chaos`] / [`run_nps_chaos`]); all fault
-//! randomness draws from the plan's own seeded streams, so the `0`-level
-//! row of every sweep is the *byte-identical* no-chaos run.
+//! chaos seam (`RunSpec::chaos`); all fault randomness draws from the
+//! plan's own seeded streams, so the `0`-level row of every sweep is the
+//! *byte-identical* no-chaos run.
 
 use crate::experiments::attack_figs::{mean_tails, strategy_by};
-use crate::experiments::harness::{
-    run_nps_chaos, run_vivaldi_chaos, DefenseOutcome, NpsChaosFactory, NpsFactory,
-    VivaldiChaosFactory, VivaldiFactory,
-};
-use crate::experiments::{average_series, run_repetitions, FigureResult, Scale};
+use crate::experiments::harness::{AdversaryChoice, DefenseOutcome, RunSpec};
+use crate::experiments::{average_series, FigureResult, Scale};
 use rand_chacha::ChaCha12Rng;
 use vcoord_attackkit::{AttackStrategy, Collusion, CoordView, Honest, Lie, Probe};
 use vcoord_chaos::{BurstModel, ChaosCounters, ChaosPlan};
 use vcoord_defense::{
     DefenseStrategy, DriftCap, DriftDecay, EwmaChangePoint, ResidualOutlier, TriangleCheck,
 };
-use vcoord_netsim::TICK_MS;
-use vcoord_nps::NpsConfig;
+use vcoord_netsim::{SeedStream, TICK_MS};
+use vcoord_nps::{NpsConfig, NpsSim};
 use vcoord_space::Space;
+use vcoord_vivaldi::VivaldiSim;
 
 /// Malicious fraction of the attacked chaos sweeps (matches `def-*`/`arms-*`).
 const FRACTION: f64 = 0.30;
@@ -145,11 +143,16 @@ fn merge_outcomes_full<'a>(
     )
 }
 
-/// The all-honest adversary factory: chaos-only runs still go through the
+/// The all-honest adversary: chaos-only runs still go through the
 /// injection protocol (with an empty attacker set) so fault plans install
 /// at the same instant attacks would.
-fn honest_vivaldi() -> (Box<dyn AttackStrategy>, Option<Vec<usize>>) {
+fn honest<S>(_sim: &mut S, _attackers: &[usize], _seeds: &SeedStream) -> AdversaryChoice {
     (Box::new(Honest), None)
+}
+
+/// The drift cap most chaos sweeps deploy.
+fn drift_cap<S>(_sim: &S, _seeds: &SeedStream) -> Box<dyn DefenseStrategy> {
+    Box::new(DriftCap::default())
 }
 
 /// `chaos-churn-vivaldi` — crash/restart waves against a defended Vivaldi:
@@ -168,27 +171,17 @@ pub fn chaos_churn_vivaldi(scale: &Scale, seed: u64) -> FigureResult {
         "retries".to_string(),
         "evictions".to_string(),
     ];
-    let factory: VivaldiFactory<'_> = &|_sim, _attackers, _seeds| honest_vivaldi();
     let nodes = scale.nodes;
     let cell = |frac: f64| {
-        let chaos: VivaldiChaosFactory<'_> = &move |_sim, _seeds| {
+        let chaos = |_: &VivaldiSim, _: &SeedStream| {
             ChaosPlan::with_seed(seed ^ 0xC11A05)
                 // Down 10 ticks into the window, back up 30 ticks later.
                 .churn_wave(nodes, frac, 10 * TICK_MS, 30 * TICK_MS)
         };
-        let runs = run_repetitions(scale.repetitions, |rep| {
-            run_vivaldi_chaos(
-                &scale,
-                Space::Euclidean(2),
-                nodes,
-                0.0,
-                seed,
-                rep,
-                factory,
-                Some(&|_sim, _seeds| Box::new(DriftCap::default()) as Box<dyn DefenseStrategy>),
-                if frac > 0.0 { Some(chaos) } else { None },
-            )
-        });
+        let runs = RunSpec::vivaldi(Space::Euclidean(2), nodes, 0.0, &honest)
+            .defense(&drift_cap)
+            .chaos(if frac > 0.0 { Some(&chaos) } else { None })
+            .runs(&scale, seed);
         let err = mean_tails(&runs, |r| &r.attack_series);
         let agg = aggregate_chaos(runs.iter().map(|r| r.chaos.as_ref()));
         (err, agg)
@@ -250,27 +243,17 @@ pub fn chaos_churn_nps(scale: &Scale, seed: u64) -> FigureResult {
         "retries".to_string(),
         "failovers".to_string(),
     ];
-    let factory: NpsFactory<'_> = &|_sim, _attackers, _seeds| honest_vivaldi();
     let nodes = scale.nodes;
     let cell = |frac: f64| {
-        let chaos: NpsChaosFactory<'_> = &move |_sim, _seeds| {
+        let chaos = |_: &NpsSim, _: &SeedStream| {
             ChaosPlan::with_seed(seed ^ 0xC11A05)
                 // Down 2 rounds into the window, back up 6 rounds later.
                 .churn_wave(nodes, frac, 2 * NPS_ROUND_MS, 6 * NPS_ROUND_MS)
         };
-        let runs = run_repetitions(scale.repetitions, |rep| {
-            run_nps_chaos(
-                &scale,
-                NpsConfig::default(),
-                nodes,
-                0.0,
-                seed,
-                rep,
-                factory,
-                Some(&|_sim, _seeds| Box::new(DriftCap::default()) as Box<dyn DefenseStrategy>),
-                if frac > 0.0 { Some(chaos) } else { None },
-            )
-        });
+        let runs = RunSpec::nps(NpsConfig::default(), nodes, 0.0, &honest)
+            .defense(&drift_cap)
+            .chaos(if frac > 0.0 { Some(&chaos) } else { None })
+            .runs(&scale, seed);
         let err = mean_tails(&runs, |r| &r.attack_series);
         let agg = aggregate_chaos(runs.iter().map(|r| r.chaos.as_ref()));
         (err, agg)
@@ -332,26 +315,16 @@ pub fn chaos_landmark_takedown(scale: &Scale, seed: u64) -> FigureResult {
         "retries".to_string(),
         "failovers".to_string(),
     ];
-    let factory: NpsFactory<'_> = &|_sim, _attackers, _seeds| honest_vivaldi();
     let cell = |k: usize| {
-        let chaos: NpsChaosFactory<'_> = &move |sim, _seeds| {
+        let chaos = |sim: &NpsSim, _: &SeedStream| {
             let landmarks = sim.landmark_ids();
             let k = k.min(landmarks.len());
             ChaosPlan::with_seed(seed ^ 0x7A4E).takedown(&landmarks[..k], NPS_ROUND_MS, None)
         };
-        let runs = run_repetitions(scale.repetitions, |rep| {
-            run_nps_chaos(
-                &scale,
-                NpsConfig::default(),
-                scale.nodes,
-                0.0,
-                seed,
-                rep,
-                factory,
-                Some(&|_sim, _seeds| Box::new(DriftCap::default()) as Box<dyn DefenseStrategy>),
-                if k > 0 { Some(chaos) } else { None },
-            )
-        });
+        let runs = RunSpec::nps(NpsConfig::default(), scale.nodes, 0.0, &honest)
+            .defense(&drift_cap)
+            .chaos(if k > 0 { Some(&chaos) } else { None })
+            .runs(&scale, seed);
         let err = mean_tails(&runs, |r| &r.attack_series);
         let agg = aggregate_chaos(runs.iter().map(|r| r.chaos.as_ref()));
         (err, agg)
@@ -409,27 +382,17 @@ pub fn chaos_loss_bursts(scale: &Scale, seed: u64) -> FigureResult {
         "spiked".to_string(),
         "timeouts".to_string(),
     ];
-    let factory: VivaldiFactory<'_> = &|_sim, _attackers, _seeds| honest_vivaldi();
     let cell = |p_enter: f64| {
-        let chaos: VivaldiChaosFactory<'_> = &move |_sim, _seeds| {
+        let chaos = |_: &VivaldiSim, _: &SeedStream| {
             ChaosPlan::with_seed(seed ^ 0xB0557).bursts(BurstModel {
                 p_enter,
                 ..BurstModel::mild()
             })
         };
-        let runs = run_repetitions(scale.repetitions, |rep| {
-            run_vivaldi_chaos(
-                &scale,
-                Space::Euclidean(2),
-                scale.nodes,
-                0.0,
-                seed,
-                rep,
-                factory,
-                Some(&|_sim, _seeds| Box::new(DriftCap::default()) as Box<dyn DefenseStrategy>),
-                if p_enter > 0.0 { Some(chaos) } else { None },
-            )
-        });
+        let runs = RunSpec::vivaldi(Space::Euclidean(2), scale.nodes, 0.0, &honest)
+            .defense(&drift_cap)
+            .chaos(if p_enter > 0.0 { Some(&chaos) } else { None })
+            .runs(&scale, seed);
         let err = mean_tails(&runs, |r| &r.attack_series);
         let agg = aggregate_chaos(runs.iter().map(|r| r.chaos.as_ref()));
         let (confusion, _, _, banned_honest, _) =
@@ -491,26 +454,17 @@ pub fn chaos_frog_hides_in_churn(scale: &Scale, seed: u64) -> FigureResult {
         "crashes".to_string(),
         "evictions".to_string(),
     ];
-    let factory: VivaldiFactory<'_> =
-        &|_sim, _attackers, _seeds| (strategy_by("frog_boiling"), None);
     let nodes = scale.nodes;
     let cell = |frac: f64| {
-        let chaos: VivaldiChaosFactory<'_> = &move |_sim, _seeds| {
+        let chaos = |_: &VivaldiSim, _: &SeedStream| {
             ChaosPlan::with_seed(seed ^ 0xF406).churn_wave(nodes, frac, 10 * TICK_MS, 30 * TICK_MS)
         };
-        let runs = run_repetitions(scale.repetitions, |rep| {
-            run_vivaldi_chaos(
-                &scale,
-                Space::Euclidean(2),
-                nodes,
-                FRACTION,
-                seed,
-                rep,
-                factory,
-                Some(&|_sim, _seeds| Box::new(DriftCap::default()) as Box<dyn DefenseStrategy>),
-                if frac > 0.0 { Some(chaos) } else { None },
-            )
-        });
+        let runs = RunSpec::vivaldi(Space::Euclidean(2), nodes, FRACTION, &|_, _, _| {
+            (strategy_by("frog_boiling"), None)
+        })
+        .defense(&drift_cap)
+        .chaos(if frac > 0.0 { Some(&chaos) } else { None })
+        .runs(&scale, seed);
         let err = mean_tails(&runs, |r| &r.attack_series);
         let drift = mean_tails(&runs, |r| &r.drift_series);
         let agg = aggregate_chaos(runs.iter().map(|r| r.chaos.as_ref()));
@@ -566,23 +520,14 @@ pub fn chaos_partition_recovery(scale: &Scale, seed: u64) -> FigureResult {
     // Split half the population from the rest for a third of the window.
     let start = 10 * TICK_MS;
     let end = start + (scale.vivaldi_attack_ticks / 3) * TICK_MS;
-    let factory: VivaldiFactory<'_> = &|_sim, _attackers, _seeds| honest_vivaldi();
+    let chaos = |_: &VivaldiSim, _: &SeedStream| {
+        ChaosPlan::with_seed(seed ^ 0x9A47).split(nodes, 0.5, start, end)
+    };
     let run_with = |partitioned: bool| {
-        let chaos: VivaldiChaosFactory<'_> =
-            &move |_sim, _seeds| ChaosPlan::with_seed(seed ^ 0x9A47).split(nodes, 0.5, start, end);
-        run_repetitions(scale.repetitions, |rep| {
-            run_vivaldi_chaos(
-                &scale,
-                Space::Euclidean(2),
-                nodes,
-                0.0,
-                seed,
-                rep,
-                factory,
-                Some(&|_sim, _seeds| Box::new(DriftCap::default()) as Box<dyn DefenseStrategy>),
-                if partitioned { Some(chaos) } else { None },
-            )
-        })
+        RunSpec::vivaldi(Space::Euclidean(2), nodes, 0.0, &honest)
+            .defense(&drift_cap)
+            .chaos(if partitioned { Some(&chaos) } else { None })
+            .runs(&scale, seed)
     };
     let split_runs = run_with(true);
     let calm_runs = run_with(false);
@@ -698,6 +643,20 @@ impl AttackStrategy for BurstThenReform {
     }
 }
 
+/// Adversary factory of the probation sweeps: a 10-round burst, then reform.
+fn burst_then_reform(
+    _sim: &mut NpsSim,
+    _attackers: &[usize],
+    _seeds: &SeedStream,
+) -> AdversaryChoice {
+    (Box::new(BurstThenReform::new(10)), None)
+}
+
+/// The decaying drift cap of the probation sweeps.
+fn decaying_cap(_sim: &NpsSim, _seeds: &SeedStream) -> Box<dyn DefenseStrategy> {
+    Box::new(DriftCap::with_decay(40.0, DriftDecay::new(5.0)))
+}
+
 /// `chaos-probation-nps` — the probation channel: NPS's membership-
 /// mediated banning removes banned references from the probe set, which
 /// starves reputation *decay* of the evidence it needs to forgive. The
@@ -727,14 +686,8 @@ pub fn chaos_probation_nps(scale: &Scale, seed: u64) -> FigureResult {
         "banned_malicious_final".to_string(),
         "fpr".to_string(),
     ];
-    let factory: NpsFactory<'_> = &|_sim, _attackers, _seeds| {
-        (
-            Box::new(BurstThenReform::new(10)) as Box<dyn AttackStrategy>,
-            None,
-        )
-    };
-    let chaos: NpsChaosFactory<'_> =
-        &move |_sim, _seeds| ChaosPlan::with_seed(seed ^ 0x960B).bursts(BurstModel::mild());
+    let chaos =
+        |_: &NpsSim, _: &SeedStream| ChaosPlan::with_seed(seed ^ 0x960B).bursts(BurstModel::mild());
     let mut rows = Vec::new();
     let mut notes = Vec::new();
     let mut baseline = f64::NAN;
@@ -751,22 +704,10 @@ pub fn chaos_probation_nps(scale: &Scale, seed: u64) -> FigureResult {
             space: Space::Euclidean(4),
             ..NpsConfig::default()
         };
-        let runs = run_repetitions(scale.repetitions, |rep| {
-            run_nps_chaos(
-                &scale,
-                config.clone(),
-                scale.nodes,
-                FRACTION,
-                seed,
-                rep,
-                factory,
-                Some(&|_sim, _seeds| {
-                    Box::new(DriftCap::with_decay(40.0, DriftDecay::new(5.0)))
-                        as Box<dyn DefenseStrategy>
-                }),
-                Some(chaos),
-            )
-        });
+        let runs = RunSpec::nps(config, scale.nodes, FRACTION, &burst_then_reform)
+            .defense(&decaying_cap)
+            .chaos(Some(&chaos))
+            .runs(&scale, seed);
         let err = mean_tails(&runs, |r| &r.attack_series);
         let (confusion, bans, reinstated, banned_honest, banned_malicious) =
             merge_outcomes(runs.iter().map(|r| r.defense.as_ref()));
@@ -846,14 +787,8 @@ pub fn chaos_probation_leak(scale: &Scale, seed: u64) -> FigureResult {
         "banned_malicious_final".to_string(),
         "quarantined".to_string(),
     ];
-    let factory: NpsFactory<'_> = &|_sim, _attackers, _seeds| {
-        (
-            Box::new(BurstThenReform::new(10)) as Box<dyn AttackStrategy>,
-            None,
-        )
-    };
-    let chaos: NpsChaosFactory<'_> =
-        &move |_sim, _seeds| ChaosPlan::with_seed(seed ^ 0x1EAC).bursts(BurstModel::mild());
+    let chaos =
+        |_: &NpsSim, _: &SeedStream| ChaosPlan::with_seed(seed ^ 0x1EAC).bursts(BurstModel::mild());
     // Tight reference economy (see chaos-probation-nps): no spare
     // membership candidates means bans are structurally final — the
     // relief valve can only *lease* them back.
@@ -869,22 +804,10 @@ pub fn chaos_probation_leak(scale: &Scale, seed: u64) -> FigureResult {
     for (i, &mult) in LEAK_WINDOWS.iter().enumerate() {
         let mut s = base.clone();
         s.nps_attack_rounds = base.nps_attack_rounds * mult;
-        let runs = run_repetitions(s.repetitions, |rep| {
-            run_nps_chaos(
-                &s,
-                config.clone(),
-                s.nodes,
-                FRACTION,
-                seed,
-                rep,
-                factory,
-                Some(&|_sim, _seeds| {
-                    Box::new(DriftCap::with_decay(40.0, DriftDecay::new(5.0)))
-                        as Box<dyn DefenseStrategy>
-                }),
-                Some(chaos),
-            )
-        });
+        let runs = RunSpec::nps(config.clone(), s.nodes, FRACTION, &burst_then_reform)
+            .defense(&decaying_cap)
+            .chaos(Some(&chaos))
+            .runs(&s, seed);
         let err = mean_tails(&runs, |r| &r.attack_series);
         let agg = aggregate_chaos(runs.iter().map(|r| r.chaos.as_ref()));
         let (_, bans, leaked, _, banned_malicious, quarantined) =
@@ -954,10 +877,9 @@ pub fn chaos_detectors_under_faults(scale: &Scale, seed: u64) -> FigureResult {
         "err_tail".to_string(),
         "err_ratio".to_string(),
     ];
-    let factory: VivaldiFactory<'_> = &|_sim, _attackers, _seeds| (strategy_by("inflation"), None);
     let nodes = scale.nodes;
     let cell = |detector: &'static str, regime: &'static str| {
-        let chaos: VivaldiChaosFactory<'_> = &move |_sim, _seeds| {
+        let chaos = |_: &VivaldiSim, _: &SeedStream| {
             let plan = ChaosPlan::with_seed(seed ^ 0xDE7EC7);
             match regime {
                 "churn" => plan.churn_wave(nodes, 0.2, 10 * TICK_MS, 30 * TICK_MS),
@@ -965,19 +887,12 @@ pub fn chaos_detectors_under_faults(scale: &Scale, seed: u64) -> FigureResult {
                 _ => unreachable!("the clean regime installs no plan"),
             }
         };
-        let runs = run_repetitions(scale.repetitions, |rep| {
-            run_vivaldi_chaos(
-                &scale,
-                Space::Euclidean(2),
-                nodes,
-                FRACTION,
-                seed,
-                rep,
-                factory,
-                Some(&move |_sim, _seeds| detector_by(detector)),
-                if regime == "none" { None } else { Some(chaos) },
-            )
-        });
+        let runs = RunSpec::vivaldi(Space::Euclidean(2), nodes, FRACTION, &|_, _, _| {
+            (strategy_by("inflation"), None)
+        })
+        .defense(&|_sim, _seeds| detector_by(detector))
+        .chaos(if regime == "none" { None } else { Some(&chaos) })
+        .runs(&scale, seed);
         let err = mean_tails(&runs, |r| &r.attack_series);
         let (confusion, _, _, _, _) = merge_outcomes(runs.iter().map(|r| r.defense.as_ref()));
         (err, confusion)

@@ -15,10 +15,8 @@
 //! malicious / all malicious, FPR = flagged honest / all honest.
 
 use crate::experiments::attack_figs::{mean_tails, strategy_by, STRATEGIES};
-use crate::experiments::harness::{
-    run_nps_defended, run_vivaldi_defended, NpsFactory, VivaldiFactory,
-};
-use crate::experiments::{average_series, run_repetitions, FigureResult, Scale};
+use crate::experiments::harness::RunSpec;
+use crate::experiments::{average_series, FigureResult, Scale};
 use vcoord_defense::{
     DefenseStrategy, DriftCap, EwmaChangePoint, NoDefense, ResidualOutlier, TriangleCheck,
     TrustedBaseline,
@@ -71,19 +69,11 @@ struct Cell {
 }
 
 fn vivaldi_cell(scale: &Scale, seed: u64, attack: &'static str, defense: &'static str) -> Cell {
-    let factory: VivaldiFactory<'_> = &move |_sim, _attackers, _seeds| (strategy_by(attack), None);
-    let runs = run_repetitions(scale.repetitions, |rep| {
-        run_vivaldi_defended(
-            scale,
-            Space::Euclidean(2),
-            scale.nodes,
-            FRACTION,
-            seed,
-            rep,
-            factory,
-            Some(&move |sim, _seeds| defense_by(defense, &vivaldi_trusted(sim.coords().len()))),
-        )
-    });
+    let runs = RunSpec::vivaldi(Space::Euclidean(2), scale.nodes, FRACTION, &|_, _, _| {
+        (strategy_by(attack), None)
+    })
+    .defense(&|sim, _seeds| defense_by(defense, &vivaldi_trusted(sim.coords().len())))
+    .runs(scale, seed);
     let mut confusion = Confusion::new();
     for r in &runs {
         if let Some(d) = &r.defense {
@@ -98,29 +88,21 @@ fn vivaldi_cell(scale: &Scale, seed: u64, attack: &'static str, defense: &'stati
 }
 
 fn nps_cell(scale: &Scale, seed: u64, attack: &'static str, defense: &'static str) -> Cell {
-    let factory: NpsFactory<'_> = &move |_sim, _attackers, _seeds| (strategy_by(attack), None);
-    let runs = run_repetitions(scale.repetitions, |rep| {
-        run_nps_defended(
-            scale,
-            NpsConfig::default(),
-            scale.nodes,
-            FRACTION,
-            seed,
-            rep,
-            factory,
-            Some(&move |sim, _seeds| {
-                // The verified set NPS already postulates: the landmarks.
-                let landmarks: Vec<usize> = sim
-                    .layers_of()
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &l)| l == 0)
-                    .map(|(i, _)| i)
-                    .collect();
-                defense_by(defense, &landmarks)
-            }),
-        )
-    });
+    let runs = RunSpec::nps(NpsConfig::default(), scale.nodes, FRACTION, &|_, _, _| {
+        (strategy_by(attack), None)
+    })
+    .defense(&|sim, _seeds| {
+        // The verified set NPS already postulates: the landmarks.
+        let landmarks: Vec<usize> = sim
+            .layers_of()
+            .iter()
+            .enumerate()
+            .filter(|(_, &l)| l == 0)
+            .map(|(i, _)| i)
+            .collect();
+        defense_by(defense, &landmarks)
+    })
+    .runs(scale, seed);
     let mut confusion = Confusion::new();
     for r in &runs {
         if let Some(d) = &r.defense {
@@ -227,24 +209,15 @@ pub fn def_frog_drift(scale: &Scale, seed: u64) -> FigureResult {
     for d in defenses {
         columns.push(format!("err_{d}"));
     }
-    let factory: VivaldiFactory<'_> =
-        &|_sim, _attackers, _seeds| (strategy_by("frog_boiling"), None);
     let mut drift_avgs = Vec::new();
     let mut err_avgs = Vec::new();
     let mut notes = Vec::new();
     for defense in defenses {
-        let runs = run_repetitions(scale.repetitions, |rep| {
-            run_vivaldi_defended(
-                scale,
-                Space::Euclidean(2),
-                scale.nodes,
-                FRACTION,
-                seed,
-                rep,
-                factory,
-                Some(&move |sim, _seeds| defense_by(defense, &vivaldi_trusted(sim.coords().len()))),
-            )
-        });
+        let runs = RunSpec::vivaldi(Space::Euclidean(2), scale.nodes, FRACTION, &|_, _, _| {
+            (strategy_by("frog_boiling"), None)
+        })
+        .defense(&|sim, _seeds| defense_by(defense, &vivaldi_trusted(sim.coords().len())))
+        .runs(scale, seed);
         let drifts: Vec<_> = runs.iter().map(|r| r.drift_series.clone()).collect();
         let errs: Vec<_> = runs.iter().map(|r| r.attack_series.clone()).collect();
         let mut confusion = Confusion::new();
@@ -302,21 +275,12 @@ pub fn def_frog_drift(scale: &Scale, seed: u64) -> FigureResult {
 pub fn def_roc(scale: &Scale, seed: u64) -> FigureResult {
     let caps = [10.0, 20.0, 40.0, 80.0, 160.0];
     let ks = [1.0, 2.0, 3.0, 4.0, 6.0];
-    let factory: VivaldiFactory<'_> =
-        &|_sim, _attackers, _seeds| (strategy_by("frog_boiling"), None);
     let point = |strategy_for: &(dyn Fn() -> Box<dyn DefenseStrategy> + Sync)| {
-        let runs = run_repetitions(scale.repetitions, |rep| {
-            run_vivaldi_defended(
-                scale,
-                Space::Euclidean(2),
-                scale.nodes,
-                FRACTION,
-                seed,
-                rep,
-                factory,
-                Some(&|_sim, _seeds| strategy_for()),
-            )
-        });
+        let runs = RunSpec::vivaldi(Space::Euclidean(2), scale.nodes, FRACTION, &|_, _, _| {
+            (strategy_by("frog_boiling"), None)
+        })
+        .defense(&|_sim, _seeds| strategy_for())
+        .runs(scale, seed);
         let mut confusion = Confusion::new();
         for r in &runs {
             if let Some(d) = &r.defense {

@@ -1,19 +1,31 @@
-//! Per-run drivers: converge a clean system, inject an attack, record.
+//! The injection driver: converge a clean system, inject an attack, record.
 //!
-//! Both drivers follow the paper's *injection* protocol (§5.2): the system
-//! first converges cleanly (warm-up), the malicious population is then
-//! selected at random and activated, and metrics are recorded before and
-//! after. Every run is fully determined by `(master_seed, repetition)`.
+//! Every attacked figure follows the paper's *injection* protocol (§5.2):
+//! the system first converges cleanly (warm-up), the malicious population
+//! is then picked at random and activated — with a defense and a fault plan
+//! optionally deployed in the same instant — and honest-node error is
+//! recorded before and after.
+//!
+//! A `RunSpec` holds everything one run needs except the repetition: the
+//! system config, the node count, the malicious fraction, and the attack,
+//! defense and chaos factories. `RunSpec::run` is the one driver and
+//! `RunSpec::runs` fans the repetitions out. The driver is generic over
+//! the crate-private `System` trait, which `VivaldiSim` and `NpsSim`
+//! implement. It carries only what differs between the two: the seed label,
+//! the tick or round schedule, which nodes are evaluated during warm-up and
+//! after injection, how the banned set is read, and the NPS-only per-layer
+//! series and filter ledgers. Every run is fully determined by
+//! `(master_seed, repetition)`.
 
-use crate::experiments::Scale;
+use crate::experiments::{eval_thread_budget, run_repetitions, Scale};
 use vcoord_attackkit::AttackStrategy;
 use vcoord_chaos::{ChaosCounters, ChaosPlan};
-use vcoord_defense::{DefenseStats, DefenseStrategy};
+use vcoord_defense::{Defense, DefenseStats, DefenseStrategy};
 use vcoord_metrics::{random_baseline_with, Confusion, EvalPlan, FilterLedger, TimeSeries};
 use vcoord_netsim::SeedStream;
 use vcoord_nps::{NpsConfig, NpsSim};
 use vcoord_space::{Coord, Space};
-use vcoord_topo::{KingLike, KingLikeConfig};
+use vcoord_topo::{KingLike, KingLikeConfig, RttMatrix};
 use vcoord_vivaldi::{VivaldiConfig, VivaldiSim};
 
 /// The random-coordinate interval of the paper's worst-case baseline.
@@ -89,312 +101,36 @@ impl DefenseOutcome {
     }
 }
 
-/// Outcome of one Vivaldi attack run.
+/// Outcome of one injection run.
 #[derive(Debug, Clone)]
-pub struct VivaldiRun {
-    /// Average relative error of (eventually honest) nodes, sampled during
-    /// warm-up.
+pub struct Run {
+    /// Average relative error of the evaluated nodes, sampled during
+    /// warm-up (NaN while too few NPS nodes have joined).
     pub clean_series: TimeSeries,
     /// Average relative error of honest nodes after injection.
     pub attack_series: TimeSeries,
     /// Converged clean error (tail mean of the warm-up series) — the
     /// denominator of the paper's *error ratio*.
     pub clean_ref: f64,
-    /// Per-honest-node relative errors at the end of the run (CDF input).
+    /// Per-honest-node relative errors at the end of the run (CDF input),
+    /// in evaluation-plan order.
     pub final_errors: Vec<f64>,
-    /// Error of the focus set (e.g. the isolation target), when tracked.
-    pub focus_series: Option<TimeSeries>,
-    /// Mean honest-node coordinate displacement per tick during the attack
-    /// window (ms/tick) — the *drift velocity* gradual attacks maximize
-    /// while staying under displacement thresholds.
-    pub drift_series: TimeSeries,
-    /// Average error of the random-coordinate baseline on this topology.
-    pub random_baseline: f64,
-    /// Number of attackers injected.
-    pub attackers: usize,
-    /// What the deployed defense did, when one was deployed.
-    pub defense: Option<DefenseOutcome>,
-    /// Fault-injection accounting, when a chaos plan was installed.
-    pub chaos: Option<ChaosCounters>,
-}
-
-/// Builds the adversary once the attacker set is known. Returns the boxed
-/// strategy plus an optional *focus set* of nodes whose error the harness
-/// should track separately (isolation targets, designated victims).
-pub type VivaldiFactory<'a> = &'a (dyn Fn(&mut VivaldiSim, &[usize], &SeedStream) -> (Box<dyn AttackStrategy>, Option<Vec<usize>>)
-         + Sync);
-
-/// Builds the fault-injection plan installed at the injection instant.
-/// Like defense factories, chaos factories see the converged system (for
-/// structural targeting — landmark ids, system size) and the seed stream;
-/// plan times are milliseconds *after installation*.
-pub type VivaldiChaosFactory<'a> = &'a (dyn Fn(&VivaldiSim, &SeedStream) -> ChaosPlan + Sync);
-
-/// Chaos-plan factory for NPS runs (see [`VivaldiChaosFactory`]).
-pub type NpsChaosFactory<'a> = &'a (dyn Fn(&NpsSim, &SeedStream) -> ChaosPlan + Sync);
-
-/// Builds the defense to deploy at injection time. Unlike the adversary
-/// factories this one never sees the attacker set — a defense that knew
-/// ground truth would be cheating — only the converged system (for
-/// structural configuration like trusted sets) and the seed stream.
-pub type VivaldiDefenseFactory<'a> =
-    &'a (dyn Fn(&VivaldiSim, &SeedStream) -> Box<dyn DefenseStrategy> + Sync);
-
-/// Defense factory for NPS runs (see [`VivaldiDefenseFactory`]).
-pub type NpsDefenseFactory<'a> =
-    &'a (dyn Fn(&NpsSim, &SeedStream) -> Box<dyn DefenseStrategy> + Sync);
-
-/// Thread budget for per-tick `EvalPlan` sweeps inside one repetition —
-/// see [`eval_thread_budget`](crate::experiments::eval_thread_budget).
-fn eval_threads(scale: &Scale) -> usize {
-    crate::experiments::eval_thread_budget(scale.repetitions)
-}
-
-/// Mean displacement per round of `nodes` between `prev` (updated in
-/// place) and their current coordinates — the drift-velocity sample.
-fn drift_sample(
-    nodes: &[usize],
-    prev: &mut [Coord],
-    coords: &[Coord],
-    space: &Space,
-    rounds: u64,
-) -> f64 {
-    let mut total = 0.0;
-    for (k, &i) in nodes.iter().enumerate() {
-        total += space.distance(&coords[i], &prev[k]);
-        prev[k] = coords[i].clone();
-    }
-    total / (nodes.len().max(1) as f64 * rounds.max(1) as f64)
-}
-
-/// Run one Vivaldi injection experiment.
-///
-/// `nodes` overrides `scale.nodes` (system-size sweeps); `fraction` is the
-/// malicious share of the population.
-#[allow(clippy::too_many_arguments)]
-pub fn run_vivaldi(
-    scale: &Scale,
-    space: Space,
-    nodes: usize,
-    fraction: f64,
-    master_seed: u64,
-    rep: u64,
-    factory: VivaldiFactory<'_>,
-) -> VivaldiRun {
-    run_vivaldi_defended(
-        scale,
-        space,
-        nodes,
-        fraction,
-        master_seed,
-        rep,
-        factory,
-        None,
-    )
-}
-
-/// [`run_vivaldi`] with a defense deployed at injection time (on the
-/// converged system, the moment the attack goes live) — the attack×defense
-/// sweep driver. With `defense: None` this *is* `run_vivaldi`: the
-/// undefended path is untouched.
-#[allow(clippy::too_many_arguments)]
-pub fn run_vivaldi_defended(
-    scale: &Scale,
-    space: Space,
-    nodes: usize,
-    fraction: f64,
-    master_seed: u64,
-    rep: u64,
-    factory: VivaldiFactory<'_>,
-    defense: Option<VivaldiDefenseFactory<'_>>,
-) -> VivaldiRun {
-    run_vivaldi_chaos(
-        scale,
-        space,
-        nodes,
-        fraction,
-        master_seed,
-        rep,
-        factory,
-        defense,
-        None,
-    )
-}
-
-/// [`run_vivaldi_defended`] with a fault-injection plan installed at the
-/// injection instant — the chaos-sweep driver. With `chaos: None` the sim
-/// never allocates chaos state and this *is* `run_vivaldi_defended` (the
-/// chaos-off inertness property pinned by `tests/chaos_properties.rs`).
-#[allow(clippy::too_many_arguments)]
-pub fn run_vivaldi_chaos(
-    scale: &Scale,
-    space: Space,
-    nodes: usize,
-    fraction: f64,
-    master_seed: u64,
-    rep: u64,
-    factory: VivaldiFactory<'_>,
-    defense: Option<VivaldiDefenseFactory<'_>>,
-    chaos: Option<VivaldiChaosFactory<'_>>,
-) -> VivaldiRun {
-    let seeds = SeedStream::new(master_seed).derive_indexed("vivaldi-rep", rep);
-    let matrix = KingLike::new(KingLikeConfig::with_nodes(nodes)).generate(&mut seeds.rng("topo"));
-    let config = VivaldiConfig::in_space(space);
-    let mut sim = VivaldiSim::new(matrix, config, &seeds);
-    let threads = eval_threads(scale);
-
-    let all: Vec<usize> = (0..nodes).collect();
-    let mut plan_rng = seeds.rng("eval-plan");
-    let plan_all = EvalPlan::with_params(
-        &all,
-        scale.eval_all_pairs_threshold,
-        scale.eval_sample_peers,
-        &mut plan_rng,
-    );
-
-    // Warm-up: converge cleanly, recording the reference series.
-    let mut clean_series = TimeSeries::new();
-    let mut t = 0;
-    while t < scale.vivaldi_warmup_ticks {
-        sim.run_ticks(scale.vivaldi_record_every);
-        t += scale.vivaldi_record_every;
-        clean_series.push(
-            sim.now_ticks(),
-            plan_all.avg_error_with(sim.coords(), sim.space(), sim.matrix(), threads),
-        );
-    }
-    let clean_ref = clean_series.tail_mean(5).max(1e-6);
-
-    // Injection — and, in the same instant, defense deployment: the sweep
-    // measures how a converged, defended system absorbs a fresh attack.
-    let attackers = sim.pick_attackers(fraction);
-    let n_attackers = attackers.len();
-    let (adversary, focus) = factory(&mut sim, &attackers, &seeds);
-    sim.inject_adversary(&attackers, adversary);
-    if let Some(build) = defense {
-        let strategy = build(&sim, &seeds);
-        sim.deploy_defense(strategy);
-    }
-    if let Some(build) = chaos {
-        let plan = build(&sim, &seeds);
-        sim.install_chaos(plan);
-    }
-
-    // Honest-population evaluation plan (the paper measures victims).
-    let honest = sim.honest_nodes();
-    let plan_honest = EvalPlan::with_params(
-        &honest,
-        scale.eval_all_pairs_threshold,
-        scale.eval_sample_peers,
-        &mut plan_rng,
-    );
-    let focus_indices: Option<Vec<usize>> = focus.as_ref().map(|f| {
-        f.iter()
-            .filter_map(|id| plan_honest.nodes().iter().position(|&n| n == *id))
-            .collect()
-    });
-
-    let mut attack_series = TimeSeries::new();
-    let mut drift_series = TimeSeries::new();
-    let mut reject_series = TimeSeries::new();
-    let mut rejected_so_far = 0u64;
-    let mut focus_series = focus_indices.as_ref().map(|_| TimeSeries::new());
-    let mut final_errors: Vec<f64> = Vec::new();
-    let mut prev_coords: Vec<Coord> = plan_honest
-        .nodes()
-        .iter()
-        .map(|&i| sim.coords()[i].clone())
-        .collect();
-    let mut t = 0;
-    while t < scale.vivaldi_attack_ticks {
-        sim.run_ticks(scale.vivaldi_record_every);
-        t += scale.vivaldi_record_every;
-        let errs =
-            plan_honest.per_node_errors_with(sim.coords(), sim.space(), sim.matrix(), threads);
-        let avg = errs.iter().sum::<f64>() / errs.len().max(1) as f64;
-        attack_series.push(sim.now_ticks(), avg);
-        drift_series.push(
-            sim.now_ticks(),
-            drift_sample(
-                plan_honest.nodes(),
-                &mut prev_coords,
-                sim.coords(),
-                sim.space(),
-                scale.vivaldi_record_every,
-            ),
-        );
-        if let Some(stats) = sim.defense_stats() {
-            reject_series.push(sim.now_ticks(), (stats.rejected - rejected_so_far) as f64);
-            rejected_so_far = stats.rejected;
-        }
-        if let (Some(fs), Some(fi)) = (focus_series.as_mut(), focus_indices.as_ref()) {
-            let favg = fi.iter().map(|&k| errs[k]).sum::<f64>() / fi.len().max(1) as f64;
-            fs.push(sim.now_ticks(), favg);
-        }
-        final_errors = errs;
-    }
-
-    let banned_now: Vec<usize> = sim
-        .quarantined()
-        .iter()
-        .enumerate()
-        .filter(|(_, &q)| q)
-        .map(|(i, _)| i)
-        .collect();
-    let defense_outcome = sim.defense().map(|d| {
-        DefenseOutcome::grade(
-            d.label(),
-            d.stats(),
-            sim.malicious(),
-            &banned_now,
-            reject_series,
-        )
-    });
-
-    let random_baseline = random_baseline_with(
-        &plan_honest,
-        sim.space(),
-        sim.matrix(),
-        RANDOM_RANGE,
-        &mut seeds.rng("random-baseline"),
-        threads,
-    );
-
-    VivaldiRun {
-        clean_series,
-        attack_series,
-        clean_ref,
-        final_errors,
-        focus_series,
-        drift_series,
-        random_baseline,
-        attackers: n_attackers,
-        defense: defense_outcome,
-        chaos: sim.chaos_counters().copied(),
-    }
-}
-
-/// Outcome of one NPS attack run.
-#[derive(Debug, Clone)]
-pub struct NpsRun {
-    /// Average relative error during warm-up.
-    pub clean_series: TimeSeries,
-    /// Average relative error of honest ordinary nodes after injection.
-    pub attack_series: TimeSeries,
-    /// Converged clean error (ratio denominator).
-    pub clean_ref: f64,
-    /// Per-honest-node errors at the end (CDF input), in eval-plan order.
-    pub final_errors: Vec<f64>,
-    /// Per-layer average error series (layer, series) — figure 25.
+    /// Per-layer average error series (layer, series) — figure 25. Empty
+    /// for Vivaldi, which has no hierarchy.
     pub layer_series: Vec<(u8, TimeSeries)>,
-    /// Error of the focus set (designated victims), when tracked.
+    /// Error of the focus set (isolation target, designated victims), when
+    /// the attack factory named one.
     pub focus_series: Option<TimeSeries>,
-    /// Mean honest-node coordinate displacement per repositioning round
-    /// during the attack window (ms/round) — the drift velocity.
+    /// Mean honest-node coordinate displacement per tick (Vivaldi) or
+    /// repositioning round (NPS) during the attack window — the *drift
+    /// velocity* gradual attacks maximize while staying under displacement
+    /// thresholds.
     pub drift_series: TimeSeries,
-    /// Security-filter events attributable to the attack window.
+    /// Security-filter events attributable to the attack window (NPS only;
+    /// empty for Vivaldi).
     pub ledger: FilterLedger,
-    /// Probe-threshold eliminations during the attack window.
+    /// Probe-threshold eliminations during the attack window (NPS only;
+    /// empty for Vivaldi).
     pub threshold_ledger: FilterLedger,
     /// Average error of the random-coordinate baseline on this topology.
     pub random_baseline: f64,
@@ -406,307 +142,628 @@ pub struct NpsRun {
     pub chaos: Option<ChaosCounters>,
 }
 
-/// Adversary factory for NPS runs (see [`VivaldiFactory`]).
-pub type NpsFactory<'a> = &'a (dyn Fn(&mut NpsSim, &[usize], &SeedStream) -> (Box<dyn AttackStrategy>, Option<Vec<usize>>)
-         + Sync);
+/// What an attack factory yields: the boxed strategy plus an optional
+/// *focus set* of nodes whose error the driver tracks separately
+/// (isolation targets, designated victims).
+pub(crate) type AdversaryChoice = (Box<dyn AttackStrategy>, Option<Vec<usize>>);
 
-/// Run one NPS injection experiment.
-#[allow(clippy::too_many_arguments)]
-pub fn run_nps(
-    scale: &Scale,
-    config: NpsConfig,
-    nodes: usize,
-    fraction: f64,
-    master_seed: u64,
-    rep: u64,
-    factory: NpsFactory<'_>,
-) -> NpsRun {
-    run_nps_defended(
-        scale,
-        config,
-        nodes,
-        fraction,
-        master_seed,
-        rep,
-        factory,
-        None,
-    )
-}
+/// Builds the adversary once the attacker set is known.
+pub(crate) type AttackFactory<'a, S> =
+    &'a (dyn Fn(&mut S, &[usize], &SeedStream) -> AdversaryChoice + Sync);
 
-/// [`run_nps`] with a defense deployed at injection time (see
-/// [`run_vivaldi_defended`]). With `defense: None` this *is* `run_nps`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_nps_defended(
-    scale: &Scale,
-    config: NpsConfig,
-    nodes: usize,
-    fraction: f64,
-    master_seed: u64,
-    rep: u64,
-    factory: NpsFactory<'_>,
-    defense: Option<NpsDefenseFactory<'_>>,
-) -> NpsRun {
-    run_nps_chaos(
-        scale,
-        config,
-        nodes,
-        fraction,
-        master_seed,
-        rep,
-        factory,
-        defense,
-        None,
-    )
-}
+/// Builds what the driver deploys alongside the attack — a defense or a
+/// fault plan — from the converged system and the seed stream.
+pub(crate) type Factory<'a, S, T> = &'a (dyn Fn(&S, &SeedStream) -> T + Sync);
 
-/// [`run_nps_defended`] with a fault-injection plan installed at the
-/// injection instant (see [`run_vivaldi_chaos`]). With `chaos: None` this
-/// *is* `run_nps_defended`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_nps_chaos(
-    scale: &Scale,
-    config: NpsConfig,
-    nodes: usize,
-    fraction: f64,
-    master_seed: u64,
-    rep: u64,
-    factory: NpsFactory<'_>,
-    defense: Option<NpsDefenseFactory<'_>>,
-    chaos: Option<NpsChaosFactory<'_>>,
-) -> NpsRun {
-    let seeds = SeedStream::new(master_seed).derive_indexed("nps-rep", rep);
-    let matrix = KingLike::new(KingLikeConfig::with_nodes(nodes)).generate(&mut seeds.rng("topo"));
-    let layers = config.layers;
-    let mut sim = NpsSim::new(matrix, config, &seeds);
-    let threads = eval_threads(scale);
-    let mut plan_rng = seeds.rng("eval-plan");
+/// A system under test, as the injection driver sees it. The items down to
+/// `filter_ledgers` are where Vivaldi and NPS differ; the rest forward to
+/// the methods both sims have under the same name (`forward_to_sim!`).
+pub(crate) trait System: Sized {
+    /// What a spec configures: the coordinate space for Vivaldi, the whole
+    /// [`NpsConfig`] for NPS.
+    type Config: Clone + Sync;
+    /// Label under which a repetition's seed stream is derived.
+    const SEED_LABEL: &'static str;
+    /// Whether warm-up re-plans its evaluation every sample. Vivaldi
+    /// evaluates one plan over all nodes, built before warm-up; NPS builds
+    /// a plan per sample over the nodes that have joined so far. The number
+    /// of plan builds decides what the `eval-plan` stream has left for the
+    /// post-injection plan, so each system keeps its own.
+    const REPLAN_WARMUP: bool;
 
-    // Warm-up: staggered joins + clean repositioning.
-    let mut clean_series = TimeSeries::new();
-    let mut r = 0;
-    while r < scale.nps_warmup_rounds {
-        sim.run_rounds(scale.nps_record_every);
-        r += scale.nps_record_every;
-        let eval = sim.eval_nodes();
-        if eval.len() < 8 {
-            clean_series.push(sim.now_rounds(), f64::NAN);
-            continue; // joins still in progress
-        }
-        let plan = EvalPlan::with_params(
-            &eval,
-            scale.eval_all_pairs_threshold,
-            scale.eval_sample_peers,
-            &mut plan_rng,
-        );
-        clean_series.push(
-            sim.now_rounds(),
-            plan.avg_error_with(sim.coords(), sim.space(), sim.matrix(), threads),
-        );
+    fn build(matrix: RttMatrix, config: Self::Config, seeds: &SeedStream) -> Self;
+    /// `(warm-up, attack window, sampling interval)` in this system's steps.
+    fn schedule(scale: &Scale) -> (u64, u64, u64);
+    fn advance(&mut self, steps: u64);
+    fn now(&self) -> u64;
+    /// Nodes to evaluate at a warm-up sample; `None` records NaN.
+    fn warmup_nodes(&self) -> Option<Vec<usize>>;
+    /// Honest nodes evaluated after injection.
+    fn eval_nodes(&self) -> Vec<usize>;
+    /// Nodes banned when the run ends.
+    fn banned(&self) -> Vec<usize>;
+    /// The converged clean error from the warm-up series. Both systems take
+    /// the mean of the last five samples, but they add them in opposite
+    /// orders, which changes the last bit about a third of the time.
+    fn clean_ref(clean: &TimeSeries) -> f64;
+    /// Number of hierarchy layers (1 for a flat system).
+    fn layers(&self) -> usize {
+        1
     }
-    let clean_tail: Vec<f64> = clean_series
-        .points()
-        .iter()
-        .rev()
-        .take(5)
-        .map(|&(_, v)| v)
-        .filter(|v| v.is_finite())
-        .collect();
-    let clean_ref = if clean_tail.is_empty() {
-        1e-6
-    } else {
-        (clean_tail.iter().sum::<f64>() / clean_tail.len() as f64).max(1e-6)
+    fn layer_of(&self, _node: usize) -> u8 {
+        0
+    }
+    /// Cumulative `[security filter, probe threshold]` ledgers.
+    fn filter_ledgers(&self) -> [FilterLedger; 2] {
+        [FilterLedger::new(); 2]
+    }
+
+    fn space(&self) -> &Space;
+    fn matrix(&self) -> &RttMatrix;
+    fn coords(&self) -> &[Coord];
+    fn malicious(&self) -> &[bool];
+    fn pick_attackers(&mut self, fraction: f64) -> Vec<usize>;
+    fn inject_adversary(&mut self, attackers: &[usize], strategy: Box<dyn AttackStrategy>);
+    fn deploy_defense(&mut self, strategy: Box<dyn DefenseStrategy>);
+    fn install_chaos(&mut self, plan: ChaosPlan);
+    fn defense(&self) -> Option<&Defense>;
+    fn chaos_counters(&self) -> Option<&ChaosCounters>;
+}
+
+/// The [`System`] methods both sims provide under the same name.
+macro_rules! forward_to_sim {
+    () => {
+        fn space(&self) -> &Space {
+            Self::space(self)
+        }
+        fn matrix(&self) -> &RttMatrix {
+            Self::matrix(self)
+        }
+        fn coords(&self) -> &[Coord] {
+            Self::coords(self)
+        }
+        fn malicious(&self) -> &[bool] {
+            Self::malicious(self)
+        }
+        fn pick_attackers(&mut self, fraction: f64) -> Vec<usize> {
+            Self::pick_attackers(self, fraction)
+        }
+        fn inject_adversary(&mut self, attackers: &[usize], strategy: Box<dyn AttackStrategy>) {
+            Self::inject_adversary(self, attackers, strategy)
+        }
+        fn deploy_defense(&mut self, strategy: Box<dyn DefenseStrategy>) {
+            Self::deploy_defense(self, strategy)
+        }
+        fn install_chaos(&mut self, plan: ChaosPlan) {
+            Self::install_chaos(self, plan)
+        }
+        fn defense(&self) -> Option<&Defense> {
+            Self::defense(self)
+        }
+        fn chaos_counters(&self) -> Option<&ChaosCounters> {
+            Self::chaos_counters(self)
+        }
     };
+}
 
-    let ledger_before = sim.ledger();
-    let counters_before = sim.counters();
-    let threshold_before = sim.threshold_ledger();
-    let _ = counters_before;
+impl System for VivaldiSim {
+    type Config = Space;
+    const SEED_LABEL: &'static str = "vivaldi-rep";
+    const REPLAN_WARMUP: bool = false;
 
-    // Injection — and, in the same instant, defense deployment.
-    let attackers = sim.pick_attackers(fraction);
-    let n_attackers = attackers.len();
-    let (adversary, focus) = factory(&mut sim, &attackers, &seeds);
-    sim.inject_adversary(&attackers, adversary);
-    if let Some(build) = defense {
-        let strategy = build(&sim, &seeds);
-        sim.deploy_defense(strategy);
+    fn build(matrix: RttMatrix, space: Space, seeds: &SeedStream) -> Self {
+        VivaldiSim::new(matrix, VivaldiConfig::in_space(space), seeds)
     }
-    if let Some(build) = chaos {
-        let plan = build(&sim, &seeds);
-        sim.install_chaos(plan);
-    }
-
-    let honest = sim.eval_nodes();
-    let plan_honest = EvalPlan::with_params(
-        &honest,
-        scale.eval_all_pairs_threshold,
-        scale.eval_sample_peers,
-        &mut plan_rng,
-    );
-    let node_layers: Vec<u8> = plan_honest
-        .nodes()
-        .iter()
-        .map(|&i| sim.layers_of()[i])
-        .collect();
-    let focus_indices: Option<Vec<usize>> = focus.as_ref().map(|f| {
-        f.iter()
-            .filter_map(|id| plan_honest.nodes().iter().position(|&n| n == *id))
-            .collect()
-    });
-
-    let mut attack_series = TimeSeries::new();
-    let mut drift_series = TimeSeries::new();
-    let mut reject_series = TimeSeries::new();
-    let mut rejected_so_far = 0u64;
-    let mut layer_acc: Vec<(u8, TimeSeries)> =
-        (1..layers).map(|l| (l as u8, TimeSeries::new())).collect();
-    let mut focus_series = focus_indices.as_ref().map(|_| TimeSeries::new());
-    let mut final_errors: Vec<f64> = Vec::new();
-    let mut prev_coords: Vec<Coord> = plan_honest
-        .nodes()
-        .iter()
-        .map(|&i| sim.coords()[i].clone())
-        .collect();
-    let mut r = 0;
-    while r < scale.nps_attack_rounds {
-        sim.run_rounds(scale.nps_record_every);
-        r += scale.nps_record_every;
-        let errs =
-            plan_honest.per_node_errors_with(sim.coords(), sim.space(), sim.matrix(), threads);
-        let avg = errs.iter().sum::<f64>() / errs.len().max(1) as f64;
-        attack_series.push(sim.now_rounds(), avg);
-        drift_series.push(
-            sim.now_rounds(),
-            drift_sample(
-                plan_honest.nodes(),
-                &mut prev_coords,
-                sim.coords(),
-                sim.space(),
-                scale.nps_record_every,
-            ),
-        );
-        if let Some(stats) = sim.defense_stats() {
-            reject_series.push(sim.now_rounds(), (stats.rejected - rejected_so_far) as f64);
-            rejected_so_far = stats.rejected;
-        }
-        for (l, series) in layer_acc.iter_mut() {
-            let vals: Vec<f64> = errs
-                .iter()
-                .zip(&node_layers)
-                .filter(|(_, &nl)| nl == *l)
-                .map(|(&e, _)| e)
-                .collect();
-            if !vals.is_empty() {
-                series.push(
-                    sim.now_rounds(),
-                    vals.iter().sum::<f64>() / vals.len() as f64,
-                );
-            }
-        }
-        if let (Some(fs), Some(fi)) = (focus_series.as_mut(), focus_indices.as_ref()) {
-            if !fi.is_empty() {
-                let favg = fi.iter().map(|&k| errs[k]).sum::<f64>() / fi.len() as f64;
-                fs.push(sim.now_rounds(), favg);
-            }
-        }
-        final_errors = errs;
-    }
-
-    let banned_now = sim.currently_banned();
-    let defense_outcome = sim.defense().map(|d| {
-        DefenseOutcome::grade(
-            d.label(),
-            d.stats(),
-            sim.malicious(),
-            &banned_now,
-            reject_series,
+    fn schedule(scale: &Scale) -> (u64, u64, u64) {
+        (
+            scale.vivaldi_warmup_ticks,
+            scale.vivaldi_attack_ticks,
+            scale.vivaldi_record_every,
         )
-    });
-
-    let ledger_after = sim.ledger();
-    let threshold_after = sim.threshold_ledger();
-    let ledger = FilterLedger {
-        filtered_malicious: ledger_after.filtered_malicious - ledger_before.filtered_malicious,
-        filtered_honest: ledger_after.filtered_honest - ledger_before.filtered_honest,
-    };
-    let threshold_ledger = FilterLedger {
-        filtered_malicious: threshold_after.filtered_malicious
-            - threshold_before.filtered_malicious,
-        filtered_honest: threshold_after.filtered_honest - threshold_before.filtered_honest,
-    };
-
-    let random_baseline = random_baseline_with(
-        &plan_honest,
-        sim.space(),
-        sim.matrix(),
-        RANDOM_RANGE,
-        &mut seeds.rng("random-baseline"),
-        threads,
-    );
-
-    NpsRun {
-        clean_series,
-        attack_series,
-        clean_ref,
-        final_errors,
-        layer_series: layer_acc,
-        focus_series,
-        drift_series,
-        ledger,
-        threshold_ledger,
-        random_baseline,
-        attackers: n_attackers,
-        defense: defense_outcome,
-        chaos: sim.chaos_counters().copied(),
     }
+    fn advance(&mut self, ticks: u64) {
+        self.run_ticks(ticks)
+    }
+    fn now(&self) -> u64 {
+        self.now_ticks()
+    }
+    fn warmup_nodes(&self) -> Option<Vec<usize>> {
+        Some((0..self.coords().len()).collect())
+    }
+    fn eval_nodes(&self) -> Vec<usize> {
+        self.honest_nodes()
+    }
+    fn banned(&self) -> Vec<usize> {
+        self.quarantined()
+            .iter()
+            .enumerate()
+            .filter(|(_, &q)| q)
+            .map(|(i, _)| i)
+            .collect()
+    }
+    fn clean_ref(clean: &TimeSeries) -> f64 {
+        clean.tail_mean(5).max(1e-6)
+    }
+    forward_to_sim!();
+}
+
+impl System for NpsSim {
+    type Config = NpsConfig;
+    const SEED_LABEL: &'static str = "nps-rep";
+    const REPLAN_WARMUP: bool = true;
+
+    fn build(matrix: RttMatrix, config: NpsConfig, seeds: &SeedStream) -> Self {
+        NpsSim::new(matrix, config, seeds)
+    }
+    fn schedule(scale: &Scale) -> (u64, u64, u64) {
+        (
+            scale.nps_warmup_rounds,
+            scale.nps_attack_rounds,
+            scale.nps_record_every,
+        )
+    }
+    fn advance(&mut self, rounds: u64) {
+        self.run_rounds(rounds)
+    }
+    fn now(&self) -> u64 {
+        self.now_rounds()
+    }
+    fn warmup_nodes(&self) -> Option<Vec<usize>> {
+        // Below 8 joined nodes the error average means nothing yet.
+        Some(NpsSim::eval_nodes(self)).filter(|eval| eval.len() >= 8)
+    }
+    fn eval_nodes(&self) -> Vec<usize> {
+        NpsSim::eval_nodes(self)
+    }
+    fn banned(&self) -> Vec<usize> {
+        self.currently_banned()
+    }
+    fn clean_ref(clean: &TimeSeries) -> f64 {
+        // Newest first, skipping the NaN samples of the join phase.
+        let tail: Vec<f64> = clean
+            .points()
+            .iter()
+            .rev()
+            .take(5)
+            .map(|&(_, v)| v)
+            .filter(|v| v.is_finite())
+            .collect();
+        if tail.is_empty() {
+            1e-6
+        } else {
+            (tail.iter().sum::<f64>() / tail.len() as f64).max(1e-6)
+        }
+    }
+    fn layers(&self) -> usize {
+        self.config().layers
+    }
+    fn layer_of(&self, node: usize) -> u8 {
+        self.layers_of()[node]
+    }
+    fn filter_ledgers(&self) -> [FilterLedger; 2] {
+        [self.ledger(), self.threshold_ledger()]
+    }
+    forward_to_sim!();
+}
+
+/// One injection scenario: the system config, population and factories of
+/// a run, everything but the repetition. Built with [`RunSpec::vivaldi`] or
+/// [`RunSpec::nps`], then optionally [`defense`](RunSpec::defense) and
+/// [`chaos`](RunSpec::chaos).
+pub(crate) struct RunSpec<'a, S: System> {
+    config: S::Config,
+    /// Population size; overrides `scale.nodes` for system-size sweeps.
+    nodes: usize,
+    /// Malicious share of the population.
+    fraction: f64,
+    attack: AttackFactory<'a, S>,
+    defense: Option<Factory<'a, S, Box<dyn DefenseStrategy>>>,
+    chaos: Option<Factory<'a, S, ChaosPlan>>,
+}
+
+impl<'a> RunSpec<'a, VivaldiSim> {
+    /// A Vivaldi run in `space` (the workspace-default config otherwise).
+    pub(crate) fn vivaldi(
+        space: Space,
+        nodes: usize,
+        fraction: f64,
+        attack: AttackFactory<'a, VivaldiSim>,
+    ) -> Self {
+        RunSpec::new(space, nodes, fraction, attack)
+    }
+}
+
+impl<'a> RunSpec<'a, NpsSim> {
+    /// An NPS run under `config`.
+    pub(crate) fn nps(
+        config: NpsConfig,
+        nodes: usize,
+        fraction: f64,
+        attack: AttackFactory<'a, NpsSim>,
+    ) -> Self {
+        RunSpec::new(config, nodes, fraction, attack)
+    }
+}
+
+impl<'a, S: System> RunSpec<'a, S> {
+    fn new(config: S::Config, nodes: usize, fraction: f64, attack: AttackFactory<'a, S>) -> Self {
+        RunSpec {
+            config,
+            nodes,
+            fraction,
+            attack,
+            defense: None,
+            chaos: None,
+        }
+    }
+
+    /// Deploy the defense `build` returns at the injection instant. Unlike
+    /// the attack factory it never sees the attacker set — a defense that
+    /// knew ground truth would be cheating — only the converged system (for
+    /// structural configuration like trusted sets) and the seed stream.
+    pub(crate) fn defense(mut self, build: Factory<'a, S, Box<dyn DefenseStrategy>>) -> Self {
+        self.defense = Some(build);
+        self
+    }
+
+    /// Install the fault plan `build` returns at the injection instant,
+    /// after the defense; plan times are milliseconds after installation.
+    /// With `None` the sim never allocates chaos state, and an empty plan
+    /// is bitwise-inert too (`tests/chaos_properties.rs`).
+    pub(crate) fn chaos(mut self, build: Option<Factory<'a, S, ChaosPlan>>) -> Self {
+        self.chaos = build;
+        self
+    }
+
+    /// Every repetition of this scenario, in repetition order.
+    pub(crate) fn runs(&self, scale: &Scale, master_seed: u64) -> Vec<Run> {
+        run_repetitions(scale.repetitions, |rep| self.run(scale, master_seed, rep))
+    }
+
+    /// Run repetition `rep` of this scenario.
+    pub(crate) fn run(&self, scale: &Scale, master_seed: u64, rep: u64) -> Run {
+        let seeds = SeedStream::new(master_seed).derive_indexed(S::SEED_LABEL, rep);
+        let matrix =
+            KingLike::new(KingLikeConfig::with_nodes(self.nodes)).generate(&mut seeds.rng("topo"));
+        let mut sim = S::build(matrix, self.config.clone(), &seeds);
+        let (warmup, window, every) = S::schedule(scale);
+        let threads = eval_thread_budget(scale.repetitions);
+        let mut plan_rng = seeds.rng("eval-plan");
+        let mut plan_for = |nodes: Vec<usize>| {
+            EvalPlan::with_params(
+                &nodes,
+                scale.eval_all_pairs_threshold,
+                scale.eval_sample_peers,
+                &mut plan_rng,
+            )
+        };
+
+        // Warm-up: converge cleanly, recording the reference series.
+        let mut warm_plan = None;
+        if !S::REPLAN_WARMUP {
+            warm_plan = sim.warmup_nodes().map(&mut plan_for);
+        }
+        let mut clean_series = TimeSeries::new();
+        let mut t = 0;
+        while t < warmup {
+            sim.advance(every);
+            t += every;
+            if S::REPLAN_WARMUP {
+                warm_plan = sim.warmup_nodes().map(&mut plan_for);
+            }
+            let err = warm_plan.as_ref().map_or(f64::NAN, |plan| {
+                plan.avg_error_with(sim.coords(), sim.space(), sim.matrix(), threads)
+            });
+            clean_series.push(sim.now(), err);
+        }
+        let clean_ref = S::clean_ref(&clean_series);
+        let ledgers_before = sim.filter_ledgers();
+
+        // Injection — and, in the same instant, defense deployment and the
+        // fault plan: the sweeps measure how a converged system absorbs a
+        // fresh attack.
+        let attackers = sim.pick_attackers(self.fraction);
+        let (adversary, focus) = (self.attack)(&mut sim, &attackers, &seeds);
+        sim.inject_adversary(&attackers, adversary);
+        if let Some(build) = self.defense {
+            let strategy = build(&sim, &seeds);
+            sim.deploy_defense(strategy);
+        }
+        if let Some(build) = self.chaos {
+            let plan = build(&sim, &seeds);
+            sim.install_chaos(plan);
+        }
+
+        // Honest-population evaluation plan (the paper measures victims).
+        let plan = plan_for(sim.eval_nodes());
+        let node_layers: Vec<u8> = plan.nodes().iter().map(|&i| sim.layer_of(i)).collect();
+        let focus_indices: Option<Vec<usize>> = focus.as_ref().map(|f| {
+            f.iter()
+                .filter_map(|id| plan.nodes().iter().position(|&n| n == *id))
+                .collect()
+        });
+
+        let mut attack_series = TimeSeries::new();
+        let mut drift_series = TimeSeries::new();
+        let mut reject_series = TimeSeries::new();
+        let mut rejected_so_far = 0u64;
+        let mut layer_series: Vec<(u8, TimeSeries)> = (1..sim.layers())
+            .map(|l| (l as u8, TimeSeries::new()))
+            .collect();
+        let mut focus_series = focus_indices.as_ref().map(|_| TimeSeries::new());
+        let mut final_errors: Vec<f64> = Vec::new();
+        let mut prev_coords: Vec<Coord> = plan
+            .nodes()
+            .iter()
+            .map(|&i| sim.coords()[i].clone())
+            .collect();
+        let mut t = 0;
+        while t < window {
+            sim.advance(every);
+            t += every;
+            let now = sim.now();
+            let errs = plan.per_node_errors_with(sim.coords(), sim.space(), sim.matrix(), threads);
+            let avg = errs.iter().sum::<f64>() / errs.len().max(1) as f64;
+            attack_series.push(now, avg);
+            drift_series.push(
+                now,
+                drift_sample(
+                    plan.nodes(),
+                    &mut prev_coords,
+                    sim.coords(),
+                    sim.space(),
+                    every,
+                ),
+            );
+            if let Some(defense) = sim.defense() {
+                let rejected = defense.stats().rejected;
+                reject_series.push(now, (rejected - rejected_so_far) as f64);
+                rejected_so_far = rejected;
+            }
+            for (l, series) in layer_series.iter_mut() {
+                let vals: Vec<f64> = errs
+                    .iter()
+                    .zip(&node_layers)
+                    .filter(|(_, &nl)| nl == *l)
+                    .map(|(&e, _)| e)
+                    .collect();
+                if !vals.is_empty() {
+                    series.push(now, vals.iter().sum::<f64>() / vals.len() as f64);
+                }
+            }
+            if let (Some(fs), Some(fi)) = (focus_series.as_mut(), focus_indices.as_ref()) {
+                if !fi.is_empty() {
+                    fs.push(
+                        now,
+                        fi.iter().map(|&k| errs[k]).sum::<f64>() / fi.len() as f64,
+                    );
+                }
+            }
+            final_errors = errs;
+        }
+
+        let banned_now = sim.banned();
+        let defense = sim.defense().map(|d| {
+            DefenseOutcome::grade(
+                d.label(),
+                d.stats(),
+                sim.malicious(),
+                &banned_now,
+                reject_series,
+            )
+        });
+        let [ledger, threshold_ledger] = ledger_delta(sim.filter_ledgers(), ledgers_before);
+        let random_baseline = random_baseline_with(
+            &plan,
+            sim.space(),
+            sim.matrix(),
+            RANDOM_RANGE,
+            &mut seeds.rng("random-baseline"),
+            threads,
+        );
+
+        Run {
+            clean_series,
+            attack_series,
+            clean_ref,
+            final_errors,
+            layer_series,
+            focus_series,
+            drift_series,
+            ledger,
+            threshold_ledger,
+            random_baseline,
+            attackers: attackers.len(),
+            defense,
+            chaos: sim.chaos_counters().copied(),
+        }
+    }
+}
+
+/// Filter events between two snapshots of cumulative ledgers.
+fn ledger_delta(after: [FilterLedger; 2], before: [FilterLedger; 2]) -> [FilterLedger; 2] {
+    [0, 1].map(|k| FilterLedger {
+        filtered_malicious: after[k].filtered_malicious - before[k].filtered_malicious,
+        filtered_honest: after[k].filtered_honest - before[k].filtered_honest,
+    })
+}
+
+/// Mean displacement per step of `nodes` between `prev` (updated in place)
+/// and their current coordinates — the drift-velocity sample.
+fn drift_sample(
+    nodes: &[usize],
+    prev: &mut [Coord],
+    coords: &[Coord],
+    space: &Space,
+    steps: u64,
+) -> f64 {
+    let mut total = 0.0;
+    for (k, &i) in nodes.iter().enumerate() {
+        total += space.distance(&coords[i], &prev[k]);
+        prev[k] = coords[i].clone();
+    }
+    total / (nodes.len().max(1) as f64 * steps.max(1) as f64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attacks::nps::NpsSimpleDisorder;
     use crate::attacks::vivaldi::VivaldiDisorder;
-    use vcoord_defense::NoDefense;
+    use vcoord_defense::{DriftCap, NoDefense};
+    use vcoord_netsim::TICK_MS;
 
-    #[test]
-    fn no_defense_run_matches_undefended_run_exactly() {
+    /// `spec()` bare, with `NoDefense` deployed, and with an empty chaos
+    /// plan installed must record byte-identical trajectories: the NoDefense
+    /// fast path and an empty plan perturb nothing.
+    fn assert_inert_variants<'a, S: System + 'a>(spec: impl Fn() -> RunSpec<'a, S>) {
         let scale = Scale::smoke();
-        let factory: VivaldiFactory<'_> =
-            &|_sim, _attackers, _seeds| (Box::new(VivaldiDisorder::default()), None);
-        let bare = run_vivaldi(&scale, Space::Euclidean(2), scale.nodes, 0.2, 5, 0, factory);
-        let defended = run_vivaldi_defended(
-            &scale,
-            Space::Euclidean(2),
-            scale.nodes,
-            0.2,
-            5,
-            0,
-            factory,
-            Some(&|_sim, _seeds| Box::new(NoDefense)),
-        );
-        // Byte-identical trajectories: the NoDefense fast path perturbs
-        // nothing, so every recorded series matches exactly.
-        assert_eq!(bare.final_errors, defended.final_errors);
-        assert_eq!(bare.attack_series.points(), defended.attack_series.points());
-        assert_eq!(bare.drift_series.points(), defended.drift_series.points());
-        let outcome = defended.defense.expect("defense was deployed");
+        let bare = spec().run(&scale, 5, 0);
+        let no_defense = spec()
+            .defense(&|_sim, _seeds| Box::new(NoDefense))
+            .run(&scale, 5, 0);
+        let empty_chaos = spec()
+            .chaos(Some(&|_sim, _seeds| ChaosPlan::none()))
+            .run(&scale, 5, 0);
+        for variant in [&no_defense, &empty_chaos] {
+            assert_eq!(bare.final_errors, variant.final_errors);
+            assert_eq!(bare.clean_series.points(), variant.clean_series.points());
+            assert_eq!(bare.attack_series.points(), variant.attack_series.points());
+            assert_eq!(bare.drift_series.points(), variant.drift_series.points());
+            assert_eq!(bare.layer_series.len(), variant.layer_series.len());
+            for ((l, a), (m, b)) in bare.layer_series.iter().zip(&variant.layer_series) {
+                assert_eq!((l, a.points()), (m, b.points()));
+            }
+            assert_eq!(bare.ledger, variant.ledger);
+            assert_eq!(bare.threshold_ledger, variant.threshold_ledger);
+        }
+        let outcome = no_defense.defense.expect("defense was deployed");
         assert_eq!(outcome.label, "none");
         assert_eq!(outcome.rejected, 0);
         assert!(outcome.accepted > 0, "samples flowed through the fast path");
-        assert!(bare.defense.is_none());
+        assert!(bare.defense.is_none() && empty_chaos.defense.is_none());
+        assert_eq!(empty_chaos.chaos, Some(ChaosCounters::default()));
+        assert!(bare.chaos.is_none());
+    }
+
+    #[test]
+    fn no_defense_run_matches_undefended_run_exactly() {
+        let nodes = Scale::smoke().nodes;
+        assert_inert_variants(|| {
+            RunSpec::vivaldi(
+                Space::Euclidean(2),
+                nodes,
+                0.2,
+                &|_sim, _attackers, _seeds| (Box::new(VivaldiDisorder::default()), None),
+            )
+        });
+        assert_inert_variants(|| {
+            RunSpec::nps(
+                NpsConfig::default(),
+                nodes,
+                0.2,
+                &|_sim, _attackers, _seeds| (Box::new(NpsSimpleDisorder::default()), None),
+            )
+        });
+    }
+
+    /// Order-sensitive digest of a float vector's exact bits.
+    fn bits_digest(values: &[f64]) -> u64 {
+        values.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn sampled_eval_plan_path_is_pinned() {
+        // Smoke runs sit below the all-pairs threshold, so `EvalPlan` never
+        // draws from the `eval-plan` stream there and the goldens cannot
+        // see the order of plan builds. Lowering the threshold makes every
+        // plan sample its peers; the bits below were recorded before the
+        // harness was generalized and pin that build order for both systems.
+        let scale = Scale {
+            eval_all_pairs_threshold: 16,
+            ..Scale::smoke()
+        };
+        let nodes = scale.nodes;
+        let viv = RunSpec::vivaldi(
+            Space::Euclidean(2),
+            nodes,
+            0.2,
+            &|_sim, _attackers, _seeds| (Box::new(VivaldiDisorder::default()), None),
+        )
+        .defense(&|_sim, _seeds| Box::new(DriftCap::default()))
+        .chaos(Some(&|_sim, _seeds| {
+            ChaosPlan::with_seed(3).churn_wave(nodes, 0.2, 10 * TICK_MS, 30 * TICK_MS)
+        }))
+        .run(&scale, 11, 0);
+        let nps = RunSpec::nps(
+            NpsConfig::default(),
+            nodes,
+            0.2,
+            &|_sim, _attackers, _seeds| (Box::new(NpsSimpleDisorder::default()), None),
+        )
+        .defense(&|_sim, _seeds| Box::new(DriftCap::default()))
+        .chaos(Some(&|_sim, _seeds| {
+            ChaosPlan::with_seed(3).churn_wave(nodes, 0.2, 2 * 60_000, 6 * 60_000)
+        }))
+        .run(&scale, 11, 0);
+        let series_digest =
+            |s: &TimeSeries| bits_digest(&s.points().iter().map(|p| p.1).collect::<Vec<_>>());
+        let pinned = [&viv, &nps].map(|r| {
+            (
+                r.clean_ref,
+                r.random_baseline,
+                bits_digest(&r.final_errors),
+                series_digest(&r.clean_series),
+                series_digest(&r.attack_series),
+                r.chaos.map(|c| c.crashes),
+            )
+        });
+        let expected = [
+            (
+                f64::from_bits(0x3fe5_18bc_c483_e28c),
+                f64::from_bits(0x408c_7495_8dbc_cd0f),
+                0x3c69_a1da_6a4b_2972,
+                0x4866_b18a_0c32_3903,
+                0x9ee9_c90d_5461_993e,
+                Some(14),
+            ),
+            (
+                f64::from_bits(0x3fcc_de8c_fa7c_ccd2),
+                f64::from_bits(0x409f_6988_8a1b_47a0),
+                0x31ba_ff50_163e_7cc7,
+                0x007a_e51c_fba1_aafa,
+                0x5649_6bd1_d21f_ebf6,
+                Some(14),
+            ),
+        ];
+        assert_eq!(viv.final_errors.len(), 58);
+        assert_eq!(nps.final_errors.len(), 42);
+        for ((got, want), system) in pinned.iter().zip(&expected).zip(["vivaldi", "nps"]) {
+            assert_eq!(got.0.to_bits(), want.0.to_bits(), "{system} clean_ref");
+            assert_eq!(
+                got.1.to_bits(),
+                want.1.to_bits(),
+                "{system} random_baseline"
+            );
+            assert_eq!(got.2, want.2, "{system} final_errors digest");
+            assert_eq!(got.3, want.3, "{system} clean_series digest");
+            assert_eq!(got.4, want.4, "{system} attack_series digest");
+            assert_eq!(got.5, want.5, "{system} churn crashes");
+        }
     }
 
     #[test]
     fn vivaldi_run_produces_complete_record() {
         let scale = Scale::smoke();
-        let run = run_vivaldi(
-            &scale,
+        let run = RunSpec::vivaldi(
             Space::Euclidean(2),
             scale.nodes,
             0.3,
-            7,
-            0,
             &|_sim, _attackers, _seeds| (Box::new(VivaldiDisorder::default()), None),
-        );
+        )
+        .run(&scale, 7, 0);
         assert!(run.clean_series.len() >= 5);
         assert!(run.attack_series.len() >= 5);
         assert!(
@@ -724,5 +781,8 @@ mod tests {
             "disorder had no effect: clean={} attacked={attacked}",
             run.clean_ref
         );
+        // The NPS-only fields stay empty on a flat system.
+        assert!(run.layer_series.is_empty());
+        assert_eq!(run.ledger.total() + run.threshold_ledger.total(), 0);
     }
 }

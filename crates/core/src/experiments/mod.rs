@@ -20,7 +20,7 @@ pub mod nps_figs;
 pub mod registry;
 pub mod vivaldi_figs;
 
-pub use harness::{NpsRun, VivaldiRun};
+pub use harness::Run;
 pub use registry::{figure_ids, run_figure};
 
 use vcoord_metrics::TimeSeries;

@@ -6,11 +6,11 @@
 use crate::attacks::nps::{
     NpsAntiDetection, NpsCollusionIsolation, NpsCombined, NpsSimpleDisorder,
 };
-use crate::experiments::harness::{run_nps, NpsFactory, NpsRun};
-use crate::experiments::{average_series, run_repetitions, FigureResult, Scale};
+use crate::experiments::harness::{AttackFactory, Run, RunSpec};
+use crate::experiments::{average_series, FigureResult, Scale};
 use crate::knowledge::Knowledge;
 use vcoord_metrics::Cdf;
-use vcoord_nps::NpsConfig;
+use vcoord_nps::{NpsConfig, NpsSim};
 use vcoord_space::Space;
 
 /// Malicious fractions used across the NPS figures.
@@ -23,7 +23,7 @@ fn quantile_grid() -> Vec<f64> {
 type BoxedNpsAdversary = Box<dyn vcoord_attackkit::AttackStrategy>;
 
 fn disorder_factory() -> impl Fn(
-    &mut vcoord_nps::NpsSim,
+    &mut NpsSim,
     &[usize],
     &vcoord_netsim::SeedStream,
 ) -> (BoxedNpsAdversary, Option<Vec<usize>>)
@@ -40,7 +40,7 @@ fn anti_detection_factory(
     knowledge: Knowledge,
     sophisticated: bool,
 ) -> impl Fn(
-    &mut vcoord_nps::NpsSim,
+    &mut NpsSim,
     &[usize],
     &vcoord_netsim::SeedStream,
 ) -> (BoxedNpsAdversary, Option<Vec<usize>>)
@@ -60,7 +60,7 @@ fn anti_detection_factory(
 fn collusion_factory(
     victim_fraction: f64,
 ) -> impl Fn(
-    &mut vcoord_nps::NpsSim,
+    &mut NpsSim,
     &[usize],
     &vcoord_netsim::SeedStream,
 ) -> (BoxedNpsAdversary, Option<Vec<usize>>)
@@ -84,7 +84,7 @@ fn collusion_factory(
 fn combined_factory(
     knowledge: Knowledge,
 ) -> impl Fn(
-    &mut vcoord_nps::NpsSim,
+    &mut NpsSim,
     &[usize],
     &vcoord_netsim::SeedStream,
 ) -> (BoxedNpsAdversary, Option<Vec<usize>>)
@@ -97,26 +97,6 @@ fn combined_factory(
     }
 }
 
-fn runs_for(
-    scale: &Scale,
-    config: NpsConfig,
-    fraction: f64,
-    seed: u64,
-    factory: NpsFactory<'_>,
-) -> Vec<NpsRun> {
-    run_repetitions(scale.repetitions, |rep| {
-        run_nps(
-            scale,
-            config.clone(),
-            scale.nodes,
-            fraction,
-            seed,
-            rep,
-            factory,
-        )
-    })
-}
-
 /// Error-vs-time figure over fractions × configs (figures 14, 18, 26).
 fn error_vs_time(
     id: &str,
@@ -125,7 +105,7 @@ fn error_vs_time(
     seed: u64,
     fractions: &[f64],
     configs: &[(&str, NpsConfig)],
-    factory: NpsFactory<'_>,
+    factory: AttackFactory<'_, NpsSim>,
 ) -> FigureResult {
     let mut columns = vec!["round".to_string()];
     let mut all_series = Vec::new();
@@ -133,7 +113,7 @@ fn error_vs_time(
     for &f in fractions {
         for (label, config) in configs {
             columns.push(format!("err_{}pct_{label}", (f * 100.0).round() as u32));
-            let runs = runs_for(scale, config.clone(), f, seed, factory);
+            let runs = RunSpec::nps(config.clone(), scale.nodes, f, factory).runs(scale, seed);
             let avg = average_series(
                 &runs
                     .iter()
@@ -204,7 +184,7 @@ pub fn fig15(scale: &Scale, seed: u64) -> FigureResult {
             };
             let label = if security { "on" } else { "off" };
             columns.push(format!("err_{}pct_sec_{label}", (f * 100.0) as u32));
-            let runs = runs_for(scale, config, f, seed, &factory);
+            let runs = RunSpec::nps(config, scale.nodes, f, &factory).runs(scale, seed);
             let all: Vec<f64> = runs.iter().flat_map(|r| r.final_errors.clone()).collect();
             let cdf = Cdf::from_samples(&all);
             notes.push(format!(
@@ -248,7 +228,7 @@ pub fn fig16(scale: &Scale, seed: u64) -> FigureResult {
         let mut row = vec![f * 100.0];
         for (di, &d) in dims.iter().enumerate() {
             let config = NpsConfig::in_space(Space::Euclidean(d));
-            let runs = runs_for(scale, config, f, seed, &factory);
+            let runs = RunSpec::nps(config, scale.nodes, f, &factory).runs(scale, seed);
             row.push(
                 runs.iter()
                     .map(|r| r.attack_series.tail_mean(3))
@@ -367,7 +347,7 @@ pub fn fig21(scale: &Scale, seed: u64) -> FigureResult {
     let mut notes = Vec::new();
     for &f in &fractions {
         columns.push(format!("err_{}pct", (f * 100.0) as u32));
-        let runs = runs_for(scale, NpsConfig::default(), f, seed, &factory);
+        let runs = RunSpec::nps(NpsConfig::default(), scale.nodes, f, &factory).runs(scale, seed);
         let all: Vec<f64> = runs.iter().flat_map(|r| r.final_errors.clone()).collect();
         let clean = runs.iter().map(|r| r.clean_ref).sum::<f64>() / runs.len() as f64;
         let cdf = Cdf::from_samples(&all);
@@ -435,7 +415,8 @@ fn knowledge_sweep(
         let mut row = vec![f * 100.0];
         for &k in &knowledges {
             let factory = anti_detection_factory(k, sophisticated);
-            let runs = runs_for(scale, NpsConfig::default(), f, seed, &factory);
+            let runs =
+                RunSpec::nps(NpsConfig::default(), scale.nodes, f, &factory).runs(scale, seed);
             let value = match metric {
                 KnowledgeMetric::ErrorRatio => {
                     runs.iter()
@@ -495,7 +476,8 @@ fn collusion_cdf(id: &str, layers: usize, scale: &Scale, seed: u64) -> FigureRes
     let mut notes = Vec::new();
     for &f in &fractions {
         columns.push(format!("err_{}pct", (f * 100.0) as u32));
-        let runs = runs_for(scale, NpsConfig::with_layers(layers), f, seed, &factory);
+        let runs = RunSpec::nps(NpsConfig::with_layers(layers), scale.nodes, f, &factory)
+            .runs(scale, seed);
         let all: Vec<f64> = runs.iter().flat_map(|r| r.final_errors.clone()).collect();
         let victims_err: f64 = {
             let vals: Vec<f64> = runs
@@ -536,7 +518,7 @@ fn collusion_cdf(id: &str, layers: usize, scale: &Scale, seed: u64) -> FigureRes
 /// (layer-2 victims vs layer-3 nodes, clean vs 20 % corrupted).
 pub fn fig25(scale: &Scale, seed: u64) -> FigureResult {
     let factory = collusion_factory(0.2);
-    let honest_factory: NpsFactory<'_> = &|_sim, _attackers, _seeds| {
+    let honest_factory: AttackFactory<'_, NpsSim> = &|_sim, _attackers, _seeds| {
         (
             Box::new(vcoord_attackkit::Honest) as BoxedNpsAdversary,
             None,
@@ -545,13 +527,17 @@ pub fn fig25(scale: &Scale, seed: u64) -> FigureResult {
     let fraction = 0.20;
 
     // Corrupted 3-layer and 4-layer systems.
-    let r3 = runs_for(scale, NpsConfig::with_layers(3), fraction, seed, &factory);
-    let r4 = runs_for(scale, NpsConfig::with_layers(4), fraction, seed, &factory);
+    let r3 =
+        RunSpec::nps(NpsConfig::with_layers(3), scale.nodes, fraction, &factory).runs(scale, seed);
+    let r4 =
+        RunSpec::nps(NpsConfig::with_layers(4), scale.nodes, fraction, &factory).runs(scale, seed);
     // Clean references (0% attackers; honest factory keeps plumbing equal).
-    let c3 = runs_for(scale, NpsConfig::with_layers(3), 0.0, seed, honest_factory);
-    let c4 = runs_for(scale, NpsConfig::with_layers(4), 0.0, seed, honest_factory);
+    let c3 =
+        RunSpec::nps(NpsConfig::with_layers(3), scale.nodes, 0.0, honest_factory).runs(scale, seed);
+    let c4 =
+        RunSpec::nps(NpsConfig::with_layers(4), scale.nodes, 0.0, honest_factory).runs(scale, seed);
 
-    let layer_avg = |runs: &[NpsRun], layer: u8| -> f64 {
+    let layer_avg = |runs: &[Run], layer: u8| -> f64 {
         let vals: Vec<f64> = runs
             .iter()
             .flat_map(|r| {
@@ -563,7 +549,7 @@ pub fn fig25(scale: &Scale, seed: u64) -> FigureResult {
             .collect();
         vals.iter().sum::<f64>() / vals.len().max(1) as f64
     };
-    let victim_avg = |runs: &[NpsRun]| -> f64 {
+    let victim_avg = |runs: &[Run]| -> f64 {
         let vals: Vec<f64> = runs
             .iter()
             .filter_map(|r| r.focus_series.as_ref().map(|s| s.tail_mean(3)))

@@ -7,20 +7,15 @@
 use crate::attacks::vivaldi::{
     VivaldiCollusionLure, VivaldiCollusionRepel, VivaldiCombined, VivaldiDisorder, VivaldiRepulsion,
 };
-use crate::experiments::harness::{run_vivaldi, VivaldiFactory, VivaldiRun};
-use crate::experiments::{average_series, run_repetitions, FigureResult, Scale};
+use crate::experiments::harness::{AdversaryChoice, AttackFactory, RunSpec};
+use crate::experiments::{average_series, FigureResult, Scale};
 use rand::seq::SliceRandom;
 use vcoord_metrics::Cdf;
 use vcoord_space::Space;
+use vcoord_vivaldi::VivaldiSim;
 
 /// Malicious fractions used across the Vivaldi figures (§5.2).
 pub const FRACTIONS: [f64; 6] = [0.10, 0.20, 0.30, 0.40, 0.50, 0.75];
-
-/// What an adversary factory yields: the adversary and its victims (if any).
-type AdversaryChoice = (
-    Box<dyn vcoord_attackkit::AttackStrategy>,
-    Option<Vec<usize>>,
-);
 
 /// Quantile grid used for all CDF figures.
 fn quantile_grid() -> Vec<f64> {
@@ -28,8 +23,7 @@ fn quantile_grid() -> Vec<f64> {
 }
 
 fn disorder_factory(
-) -> impl Fn(&mut vcoord_vivaldi::VivaldiSim, &[usize], &vcoord_netsim::SeedStream) -> AdversaryChoice
-       + Sync {
+) -> impl Fn(&mut VivaldiSim, &[usize], &vcoord_netsim::SeedStream) -> AdversaryChoice + Sync {
     |_sim, _attackers, _seeds| {
         (
             Box::new(VivaldiDisorder::default()) as Box<dyn vcoord_attackkit::AttackStrategy>,
@@ -40,8 +34,7 @@ fn disorder_factory(
 
 fn repulsion_factory(
     subset: Option<usize>,
-) -> impl Fn(&mut vcoord_vivaldi::VivaldiSim, &[usize], &vcoord_netsim::SeedStream) -> AdversaryChoice
-       + Sync {
+) -> impl Fn(&mut VivaldiSim, &[usize], &vcoord_netsim::SeedStream) -> AdversaryChoice + Sync {
     move |_sim, _attackers, _seeds| {
         let adv: Box<dyn vcoord_attackkit::AttackStrategy> = match subset {
             Some(k) => Box::new(VivaldiRepulsion::with_subset(50_000.0, k)),
@@ -53,8 +46,7 @@ fn repulsion_factory(
 
 /// Collusion strategy-1 factory (repel everyone from a random target).
 fn collusion_repel_factory(
-) -> impl Fn(&mut vcoord_vivaldi::VivaldiSim, &[usize], &vcoord_netsim::SeedStream) -> AdversaryChoice
-       + Sync {
+) -> impl Fn(&mut VivaldiSim, &[usize], &vcoord_netsim::SeedStream) -> AdversaryChoice + Sync {
     |sim, attackers, seeds| {
         // Attackers are not yet flagged malicious at factory time: exclude
         // them explicitly so the isolation target is a genuine victim.
@@ -77,8 +69,7 @@ fn collusion_repel_factory(
 /// Collusion strategy-2 factory (lure a random target into a remote
 /// cluster).
 fn collusion_lure_factory(
-) -> impl Fn(&mut vcoord_vivaldi::VivaldiSim, &[usize], &vcoord_netsim::SeedStream) -> AdversaryChoice
-       + Sync {
+) -> impl Fn(&mut VivaldiSim, &[usize], &vcoord_netsim::SeedStream) -> AdversaryChoice + Sync {
     |sim, attackers, seeds| {
         let honest: Vec<usize> = sim
             .honest_nodes()
@@ -97,28 +88,13 @@ fn collusion_lure_factory(
 }
 
 fn combined_factory(
-) -> impl Fn(&mut vcoord_vivaldi::VivaldiSim, &[usize], &vcoord_netsim::SeedStream) -> AdversaryChoice
-       + Sync {
+) -> impl Fn(&mut VivaldiSim, &[usize], &vcoord_netsim::SeedStream) -> AdversaryChoice + Sync {
     |_sim, _attackers, _seeds| {
         (
             Box::new(VivaldiCombined::new()) as Box<dyn vcoord_attackkit::AttackStrategy>,
             None,
         )
     }
-}
-
-/// Run `repetitions` of a scenario and return the runs.
-fn runs_for(
-    scale: &Scale,
-    space: Space,
-    nodes: usize,
-    fraction: f64,
-    seed: u64,
-    factory: VivaldiFactory<'_>,
-) -> Vec<VivaldiRun> {
-    run_repetitions(scale.repetitions, |rep| {
-        run_vivaldi(scale, space, nodes, fraction, seed, rep, factory)
-    })
 }
 
 /// Ratio-vs-time figure over a set of fractions (figures 1, 9, 12).
@@ -128,14 +104,14 @@ fn ratio_vs_time(
     scale: &Scale,
     seed: u64,
     fractions: &[f64],
-    factory: VivaldiFactory<'_>,
+    factory: AttackFactory<'_, VivaldiSim>,
 ) -> FigureResult {
     let mut columns = vec!["tick".to_string()];
     let mut per_fraction: Vec<vcoord_metrics::TimeSeries> = Vec::new();
     let mut notes = Vec::new();
     for &f in fractions {
         columns.push(format!("ratio_{}pct", (f * 100.0).round() as u32));
-        let runs = runs_for(scale, Space::Euclidean(2), scale.nodes, f, seed, factory);
+        let runs = RunSpec::vivaldi(Space::Euclidean(2), scale.nodes, f, factory).runs(scale, seed);
         let ratios: Vec<_> = runs
             .iter()
             .map(|r| r.attack_series.ratio_to(r.clean_ref))
@@ -178,7 +154,7 @@ fn cdf_by_fraction(
     scale: &Scale,
     seed: u64,
     fractions: &[f64],
-    factory: VivaldiFactory<'_>,
+    factory: AttackFactory<'_, VivaldiSim>,
 ) -> FigureResult {
     let grid = quantile_grid();
     let mut columns = vec!["quantile".to_string()];
@@ -186,7 +162,7 @@ fn cdf_by_fraction(
     let mut notes = Vec::new();
     for &f in fractions {
         columns.push(format!("err_{}pct", (f * 100.0).round() as u32));
-        let runs = runs_for(scale, Space::Euclidean(2), scale.nodes, f, seed, factory);
+        let runs = RunSpec::vivaldi(Space::Euclidean(2), scale.nodes, f, factory).runs(scale, seed);
         let all: Vec<f64> = runs.iter().flat_map(|r| r.final_errors.clone()).collect();
         let baseline = runs.iter().map(|r| r.random_baseline).sum::<f64>() / runs.len() as f64;
         let cdf = Cdf::from_samples(&all);
@@ -224,7 +200,7 @@ fn dimension_sweep(
     title: &str,
     scale: &Scale,
     seed: u64,
-    factory: VivaldiFactory<'_>,
+    factory: AttackFactory<'_, VivaldiSim>,
 ) -> FigureResult {
     let spaces = [
         Space::Euclidean(2),
@@ -250,7 +226,7 @@ fn dimension_sweep(
         let mut row = vec![f * 100.0];
         let mut rands = Vec::new();
         for (si, &space) in spaces.iter().enumerate() {
-            let runs = runs_for(scale, space, scale.nodes, f, seed, factory);
+            let runs = RunSpec::vivaldi(space, scale.nodes, f, factory).runs(scale, seed);
             let err = runs
                 .iter()
                 .map(|r| r.attack_series.tail_mean(3))
@@ -294,7 +270,7 @@ fn size_sweep(
     scale: &Scale,
     seed: u64,
     fractions: &[f64],
-    factory: VivaldiFactory<'_>,
+    factory: AttackFactory<'_, VivaldiSim>,
 ) -> FigureResult {
     let sizes: Vec<usize> = if scale.nodes >= 1740 {
         vec![200, 400, 800, 1200, 1740]
@@ -309,7 +285,7 @@ fn size_sweep(
     for &n in &sizes {
         let mut row = vec![n as f64];
         for &f in fractions {
-            let runs = runs_for(scale, Space::Euclidean(2), n, f, seed, factory);
+            let runs = RunSpec::vivaldi(Space::Euclidean(2), n, f, factory).runs(scale, seed);
             let err = runs
                 .iter()
                 .map(|r| r.attack_series.tail_mean(3))
@@ -427,7 +403,8 @@ pub fn fig07(scale: &Scale, seed: u64) -> FigureResult {
         for &s in &shares {
             let subset = ((scale.nodes as f64) * s).round() as usize;
             let factory = repulsion_factory(Some(subset));
-            let runs = runs_for(scale, Space::Euclidean(2), scale.nodes, f, seed, &factory);
+            let runs =
+                RunSpec::vivaldi(Space::Euclidean(2), scale.nodes, f, &factory).runs(scale, seed);
             row.push(
                 runs.iter()
                     .map(|r| r.attack_series.tail_mean(3))
@@ -476,22 +453,20 @@ pub fn fig09(scale: &Scale, seed: u64) -> FigureResult {
 /// strategy 1 (repel the world) vs strategy 2 (lure the target).
 pub fn fig10(scale: &Scale, seed: u64) -> FigureResult {
     let fraction = 0.30;
-    let s1 = runs_for(
-        scale,
+    let s1 = RunSpec::vivaldi(
         Space::Euclidean(2),
         scale.nodes,
         fraction,
-        seed,
         &collusion_repel_factory(),
-    );
-    let s2 = runs_for(
-        scale,
+    )
+    .runs(scale, seed);
+    let s2 = RunSpec::vivaldi(
         Space::Euclidean(2),
         scale.nodes,
         fraction,
-        seed,
         &collusion_lure_factory(),
-    );
+    )
+    .runs(scale, seed);
     let series1 = average_series(
         &s1.iter()
             .filter_map(|r| r.focus_series.clone())
@@ -539,18 +514,12 @@ pub fn fig11(scale: &Scale, seed: u64) -> FigureResult {
     for (label, factory) in [
         (
             "strategy1",
-            &collusion_repel_factory() as VivaldiFactory<'_>,
+            &collusion_repel_factory() as AttackFactory<'_, VivaldiSim>,
         ),
-        ("strategy2", &collusion_lure_factory() as VivaldiFactory<'_>),
+        ("strategy2", &collusion_lure_factory()),
     ] {
-        let runs = runs_for(
-            scale,
-            Space::Euclidean(2),
-            scale.nodes,
-            fraction,
-            seed,
-            factory,
-        );
+        let runs =
+            RunSpec::vivaldi(Space::Euclidean(2), scale.nodes, fraction, factory).runs(scale, seed);
         let all: Vec<f64> = runs.iter().flat_map(|r| r.final_errors.clone()).collect();
         cdfs.push((label, Cdf::from_samples(&all)));
     }

@@ -97,9 +97,16 @@ impl Json {
     }
 }
 
+/// Nesting limit of [`parse_json`]. `BENCH_*.json` nests a few levels; the
+/// limit only exists so hostile input returns an error instead of
+/// overflowing the stack of this recursive-descent parser.
+pub const MAX_JSON_DEPTH: usize = 128;
+
 struct JsonParser<'a> {
+    text: &'a str,
     src: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> JsonParser<'a> {
@@ -131,8 +138,22 @@ impl<'a> JsonParser<'a> {
     fn parse_value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_JSON_DEPTH {
+                    return Err(format!(
+                        "byte {}: nested deeper than {MAX_JSON_DEPTH} levels",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.parse_object()
+                } else {
+                    self.parse_array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.parse_string()?)),
             Some(b't') => self.parse_literal("true", Json::Bool(true)),
             Some(b'f') => self.parse_literal("false", Json::Bool(false)),
@@ -205,10 +226,13 @@ impl<'a> JsonParser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through byte-wise.
-                    let rest =
-                        std::str::from_utf8(&self.src[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().expect("non-empty");
+                    // The input is a `&str`, so the next char decodes in
+                    // place; `pos` only ever stops on char boundaries.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| format!("byte {}: not a char boundary", self.pos))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -283,8 +307,10 @@ impl<'a> JsonParser<'a> {
 /// parser in [`crate::parse_line`]).
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let mut p = JsonParser {
+        text,
         src: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let value = p.parse_value()?;
     p.skip_ws();

@@ -1,7 +1,6 @@
 //! Structured observability for the vcoord workspace: counters, histograms,
 //! and timed spans registered against static metric ids, recorded into
-//! per-thread buffers, plus a flight-recorder ring of recent events and a
-//! JSONL trace exporter.
+//! per-thread buffers, plus a JSONL trace exporter.
 //!
 //! # Design
 //!
@@ -65,7 +64,6 @@ pub mod hdr;
 mod record;
 mod registry;
 mod report;
-mod ring;
 pub mod testing;
 
 pub use aggregate::{global_hist, global_hists, GlobalHist, HistSnapshot};
@@ -78,7 +76,6 @@ pub use registry::{metric, metric_name, MetricId};
 pub use report::{
     digest, summarize, summary_csv, summary_text, Digest, HistRow, RoundRow, SummaryRow,
 };
-pub use ring::{clear_recent_events, recent_events, EventRing, FLIGHT_RING_CAP};
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -87,8 +84,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub enum ObsMode {
     /// Default: recording calls are a load-and-branch no-op.
     Off,
-    /// Counters, histograms, spans, and the flight ring are live; events
-    /// are *not* buffered for export (ring only).
+    /// Counters, histograms, and spans are live; events are dropped.
     Metrics,
     /// Everything in `Metrics`, plus events buffered per-thread for JSONL
     /// export.

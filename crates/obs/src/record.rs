@@ -3,7 +3,6 @@
 
 use crate::hdr;
 use crate::registry::MetricId;
-use crate::ring;
 use crate::{enabled, mode, ObsMode};
 use std::cell::RefCell;
 use std::time::Instant;
@@ -238,26 +237,23 @@ pub fn observe(id: MetricId, value: f64) {
     });
 }
 
-/// Record one structured event. Always lands in the flight-recorder ring
-/// when the mode is on; additionally buffered for export in
-/// [`ObsMode::Trace`]. Use [`NO_NODE`] when there is no node subject.
+/// Record one structured event, buffered for export in [`ObsMode::Trace`]
+/// and dropped in every other mode. Use [`NO_NODE`] when there is no node
+/// subject.
 #[inline]
 pub fn event(id: MetricId, round: u64, node: u32, value: f64) {
-    let m = mode();
-    if m == ObsMode::Off {
+    if mode() != ObsMode::Trace {
         return;
     }
-    let e = Event {
-        metric: id,
-        rep: NO_REP,
-        round,
-        node,
-        value,
-    };
-    ring::push_global(e);
-    if m == ObsMode::Trace {
-        with_recorder(|r| r.events.push(e));
-    }
+    with_recorder(|r| {
+        r.events.push(Event {
+            metric: id,
+            rep: NO_REP,
+            round,
+            node,
+            value,
+        })
+    });
 }
 
 /// A timing guard from [`span`]: records the elapsed nanoseconds as an
